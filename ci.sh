@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Workspace CI gate. Run from the repository root:
 #
-#   ./ci.sh          # format check, clippy, xylem-lint audit, full test suite
+#   ./ci.sh          # format check, clippy, xylem-lint audit, duplicate
+#                    # test-registration check, full test suite
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (default
@@ -160,6 +161,19 @@ echo "==> xylem-lint determinism audit (nine rules, baseline ratchet, stale chec
 cargo run -q -p xylem-lint
 echo "==> xylem-lint --json (machine-readable findings, schema-locked JSONL)"
 cargo run -q -p xylem-lint -- --json
+
+echo "==> test registration (no test binary lists the same test twice)"
+# `--list` prints each binary's tests after its `Running`/`Doc-tests`
+# header; a name seen twice under one header is registered twice and
+# would run as two racing copies.
+dups=$(cargo test --workspace -- --list 2>&1 | awk '
+  /^ *(Running|Doc-tests) / { bin = $0; next }
+  /: (test|bench)$/ { if (seen[bin SUBSEP $0]++ == 1) print bin ": " $0 }')
+if [[ -n "$dups" ]]; then
+  echo "duplicate test registrations:"
+  echo "$dups"
+  exit 1
+fi
 
 echo "==> cargo test"
 cargo test -q --workspace

@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks of the thermal substrate: model assembly,
-//! sparse matvec kernels (adjacency vs flat CSR, serial vs parallel),
-//! steady-state solves over the CSR+AMG and seed adjacency paths,
-//! transient steps (warm- vs cold-started CG), and the superposition
+//! the flat CSR matvec kernel (serial vs parallel), steady-state solves
+//! through the model's default preconditioner, transient steps (warm- vs cold-started CG), and the superposition
 //! fast path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -37,9 +36,6 @@ fn bench_matvec(c: &mut Criterion) {
         let nn = model.node_count();
         let x = vec![1.0f64; nn];
         let mut y = vec![0.0f64; nn];
-        group.bench_with_input(BenchmarkId::new("adjacency", n), &n, |b, _| {
-            b.iter(|| model.matvec_adjacency(&x, &mut y))
-        });
         group.bench_with_input(BenchmarkId::new("csr_serial", n), &n, |b, _| {
             b.iter(|| model.csr().matvec_serial(&x, &mut y))
         });
@@ -62,9 +58,6 @@ fn bench_steady_state(c: &mut Criterion) {
         let mut ws = SolverWorkspace::new();
         group.bench_with_input(BenchmarkId::new("csr_amg", n), &n, |b, _| {
             b.iter(|| model.steady_state_from(&p, None, &mut ws).unwrap())
-        });
-        group.bench_with_input(BenchmarkId::new("seed_adjacency", n), &n, |b, _| {
-            b.iter(|| model.steady_state_adjacency(&p).unwrap())
         });
     }
     group.finish();

@@ -3,8 +3,7 @@
 //!
 //! Measures, per grid size, the steady-state solve through the model's
 //! default pick (matrix-free stencil + GMG on large grids, CSR+AMG on
-//! small ones) against the seed-era adjacency Jacobi-CG path; a
-//! preconditioner head-to-head (setup / apply / full solve, AMG vs
+//! small ones); a preconditioner head-to-head (setup / apply / full solve, AMG vs
 //! GMG) at 64x64 and 128x128; a stencil-vs-CSR matvec microbench; the
 //! warm- vs cold-started CG cost of one DTM control-period step; and
 //! adaptive-vs-fixed stepping at matched accuracy. The checked-in JSON
@@ -33,9 +32,6 @@ struct SteadyRow {
     solver: &'static str,
     solver_ms: f64,
     solver_iters: usize,
-    seed_adjacency_ms: f64,
-    seed_adjacency_iters: usize,
-    speedup: f64,
 }
 
 /// AMG-vs-GMG head-to-head over the same matrix: hierarchy setup, one
@@ -145,16 +141,6 @@ fn time_ms<O>(reps: usize, mut f: impl FnMut() -> O) -> f64 {
     t0.elapsed().as_secs_f64() * 1e3 / reps as f64
 }
 
-fn kind_label(kind: PreconditionerKind) -> &'static str {
-    match kind {
-        PreconditionerKind::Jacobi => "jacobi",
-        PreconditionerKind::Ssor => "ssor",
-        PreconditionerKind::Ic0 => "ic0",
-        PreconditionerKind::Amg => "amg",
-        PreconditionerKind::Gmg => "gmg",
-    }
-}
-
 /// The paper-default power pattern used by every steady row.
 fn paper_power(built: &xylem_stack::BuiltStack, model: &ThermalModel) -> PowerMap {
     let mut p = PowerMap::zeros(model);
@@ -191,18 +177,13 @@ fn main() {
         let solver_ms = time_ms(reps, || {
             model.steady_state_from(&p, None, &mut ws).expect("solve")
         });
-        let adj_field = model.steady_state_adjacency(&p).expect("adjacency solve");
-        let seed_adjacency_ms = time_ms(reps, || model.steady_state_adjacency(&p).expect("solve"));
         steady.push(SteadyRow {
             grid,
             nodes: model.node_count(),
             nnz: model.csr().nnz(),
-            solver: kind_label(model.solver_options().preconditioner),
+            solver: model.solver_options().preconditioner.label(),
             solver_ms,
             solver_iters: default_field.stats().iterations,
-            seed_adjacency_ms,
-            seed_adjacency_iters: adj_field.stats().iterations,
-            speedup: seed_adjacency_ms / solver_ms,
         });
 
         // Preconditioner head-to-head and the matvec microbench on the
@@ -242,7 +223,7 @@ fn main() {
             });
             preconditioner.push(PrecRow {
                 grid,
-                kind: kind_label(kind),
+                kind: kind.label(),
                 setup_ms,
                 apply_ms,
                 solve_ms,
@@ -501,9 +482,9 @@ fn main() {
     let report = Report {
         description: "Solver smoke numbers: steady state through the model's default \
                       pick (matrix-free stencil + geometric multigrid at 32x32 and up, \
-                      CSR+AMG below) vs the seed adjacency Jacobi-CG path, the AMG-vs-GMG \
-                      preconditioner head-to-head (setup/apply/solve at 64x64 and 128x128), \
-                      the stencil-vs-CSR matvec microbench, warm- vs cold-started DTM \
+                      CSR+AMG below), the AMG-vs-GMG preconditioner head-to-head \
+                      (setup/apply/solve at 64x64 and 128x128), the stencil-vs-CSR \
+                      matvec microbench, warm- vs cold-started DTM \
                       steps, adaptive- vs fixed-stepping at matched accuracy on the \
                       dtm_longrun workload, sweep-engine throughput with a chaos \
                       retry/quarantine drill, and the enabled-sink observability \

@@ -18,8 +18,6 @@
 //! Responses are cached on disk (JSON under a caller-supplied directory)
 //! keyed by a hash of the full stack configuration.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
@@ -184,19 +182,26 @@ impl ThermalResponse {
     // bit-identical to v2 fields.
     const CACHE_VERSION: u32 = 3;
 
+    /// The cache file for `built` + `grid`: FNV-1a over an explicit
+    /// little-endian encoding of the cache version, the full
+    /// configuration (geometry, scheme, package) as JSON, the *derived*
+    /// TTSV site list as JSON (placement logic lives outside the
+    /// config), and the grid — so the name is stable across Rust
+    /// releases and platforms, unlike `std`'s `DefaultHasher`. The two
+    /// JSON strings are length-prefixed so no split of bytes between
+    /// them can collide.
     fn cache_path(dir: &Path, built: &BuiltStack, grid: GridSpec) -> PathBuf {
-        let mut h = DefaultHasher::new();
-        Self::CACHE_VERSION.hash(&mut h);
-        // Hash the full configuration (geometry, scheme, package) via its
-        // JSON serialization, the *derived* TTSV site list (placement
-        // logic lives outside the config), and the grid.
         let cfg = serde_json::to_string(built.config()).unwrap_or_default();
-        cfg.hash(&mut h);
         let sites = serde_json::to_string(built.sites()).unwrap_or_default();
-        sites.hash(&mut h);
-        grid.nx().hash(&mut h);
-        grid.ny().hash(&mut h);
-        dir.join(format!("response-{:016x}.json", h.finish()))
+        let mut key = Vec::new();
+        key.extend_from_slice(&Self::CACHE_VERSION.to_le_bytes());
+        for text in [&cfg, &sites] {
+            key.extend_from_slice(&(text.len() as u64).to_le_bytes());
+            key.extend_from_slice(text.as_bytes());
+        }
+        key.extend_from_slice(&(grid.nx() as u64).to_le_bytes());
+        key.extend_from_slice(&(grid.ny() as u64).to_le_bytes());
+        dir.join(format!("response-{:016x}.json", xylem_obs::fnv1a(&key)))
     }
 
     /// Whether two responses have identical processor-side unit
@@ -389,6 +394,116 @@ mod tests {
         assert_ne!(a.proc_response, c.proc_response);
         let files = std::fs::read_dir(&dir).unwrap().count();
         assert_eq!(files, 2);
+    }
+
+    #[test]
+    fn cache_file_name_is_pinned() {
+        // The key is FNV-1a over a fixed byte encoding, so the name of a
+        // given config's cache file never changes with the toolchain.
+        // Changing the config serialization, the site placement or
+        // CACHE_VERSION moves it (and must update this pin).
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let path = ThermalResponse::cache_path(Path::new("cache"), &built, GridSpec::new(8, 8));
+        assert_eq!(
+            path,
+            Path::new("cache").join("response-fde8749a8455dc3a.json")
+        );
+    }
+
+    #[test]
+    fn cache_key_separates_grid_shapes() {
+        // nx and ny are encoded separately, so transposed grids (same
+        // cell count) must not share a file.
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let names: Vec<PathBuf> = [(8, 8), (8, 16), (16, 8), (16, 16)]
+            .iter()
+            .map(|&(nx, ny)| {
+                ThermalResponse::cache_path(Path::new("c"), &built, GridSpec::new(nx, ny))
+            })
+            .collect();
+        for i in 0..names.len() {
+            for j in i + 1..names.len() {
+                assert_ne!(names[i], names[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_file_name_does_not_depend_on_the_directory() {
+        let built = StackConfig::paper_default(XylemScheme::BankSurround)
+            .build()
+            .unwrap();
+        let grid = GridSpec::new(8, 8);
+        let a = ThermalResponse::cache_path(Path::new("a"), &built, grid);
+        let b = ThermalResponse::cache_path(Path::new("x/y"), &built, grid);
+        assert_eq!(a.file_name(), b.file_name());
+        assert_eq!(a.parent(), Some(Path::new("a")));
+    }
+
+    #[test]
+    fn corrupt_cache_file_is_recomputed_and_replaced() {
+        let dir =
+            std::env::temp_dir().join(format!("xylem-response-corrupt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let grid = GridSpec::new(8, 8);
+        let path = ThermalResponse::cache_path(&dir, &built, grid);
+        std::fs::write(&path, b"{ not json").unwrap();
+        let r = ThermalResponse::load_or_compute(&dir, &built, grid).unwrap();
+        let fresh = ThermalResponse::compute(&built, grid).unwrap();
+        assert!(r.proc_response_eq(&fresh));
+        let stored: ThermalResponse =
+            serde_json::from_slice(&std::fs::read(&path).unwrap()).expect("rewritten");
+        assert!(stored.proc_response_eq(&fresh));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn cached_response_for_another_grid_is_not_served() {
+        // A file whose stored grid disagrees with the request (e.g. a
+        // hash collision) must be recomputed, not returned.
+        let dir = std::env::temp_dir().join(format!("xylem-response-grid-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let built = StackConfig::paper_default(XylemScheme::Base)
+            .build()
+            .unwrap();
+        let wrong = ThermalResponse::compute(&built, GridSpec::new(4, 4)).unwrap();
+        let grid = GridSpec::new(8, 4);
+        let path = ThermalResponse::cache_path(&dir, &built, grid);
+        std::fs::write(&path, serde_json::to_vec(&wrong).unwrap()).unwrap();
+        let r = ThermalResponse::load_or_compute(&dir, &built, grid).unwrap();
+        assert_eq!((r.grid_nx, r.grid_ny), (8, 4));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn unknown_block_has_no_index() {
+        let r = small_response(XylemScheme::Base);
+        assert_eq!(r.proc_block_index("no_such_block"), None);
+        let first = r.proc_blocks()[0].clone();
+        assert_eq!(r.proc_block_index(&first), Some(0));
+    }
+
+    #[test]
+    fn hotspot_of_an_empty_field_is_negative_infinity() {
+        assert_eq!(ThermalResponse::hotspot(&[]), f64::NEG_INFINITY);
+        assert_eq!(ThermalResponse::hotspot(&[1.0, 3.0, 2.0]), 3.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "core 0 out of range")]
+    fn core_hotspot_rejects_core_zero() {
+        let r = small_response(XylemScheme::Base);
+        let field = vec![r.ambient().get(); 16 * 16];
+        let _ = r.core_hotspot(&field, 0);
     }
 }
 

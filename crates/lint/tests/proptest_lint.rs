@@ -116,6 +116,7 @@ proptest! {
 
     // The lexer must never panic: every input either tokenizes or yields
     // a LexError with a line number.
+    #[test]
     fn lexer_total_on_adversarial_input(bytes in collection::vec(any::<u8>(), 0..200)) {
         let src = to_source(&bytes);
         match lex(&src) {
@@ -130,6 +131,7 @@ proptest! {
 
     // check_source is equally total: any input yields diagnostics (possibly
     // a single `lex` diagnostic), never a panic.
+    #[test]
     fn check_source_total(bytes in collection::vec(any::<u8>(), 0..200)) {
         let src = to_source(&bytes);
         let ds = check_source("crates/thermal/src/fuzz.rs", &src, &Allowlist::default());
@@ -139,6 +141,7 @@ proptest! {
     }
 
     // Token lines are monotonically non-decreasing in source order.
+    #[test]
     fn token_lines_monotone(bytes in collection::vec(any::<u8>(), 0..200)) {
         let src = to_source(&bytes);
         if let Ok(toks) = lex(&src) {
@@ -150,6 +153,7 @@ proptest! {
 
     // The full two-pass analyzer (symbol table + nine rules) is total on
     // byte soup at every zone mount: no panics, no zero line numbers.
+    #[test]
     fn analyzer_total_on_byte_soup(
         bytes in collection::vec(any::<u8>(), 0..200),
         mount in 0..MOUNTS.len(),
@@ -162,6 +166,7 @@ proptest! {
 
     // ...and on keyword-dense pseudo-Rust, which reaches much deeper into
     // the fn-span / unit-binding / accumulator bookkeeping of pass 1.
+    #[test]
     fn analyzer_total_on_keyword_soup(
         words in collection::vec(0..VOCAB.len(), 0..120),
         mount in 0..MOUNTS.len(),

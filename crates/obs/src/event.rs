@@ -105,3 +105,68 @@ impl Event {
 pub fn event(name: &str) -> Event {
     Event::new(name)
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn fields(e: &Event) -> Vec<(String, Value)> {
+        match e.to_value() {
+            Value::Object(f) => f,
+            other => panic!("event is not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn event_starts_with_its_name_and_timestamp() {
+        let f = fields(&event("solve"));
+        assert_eq!(f.len(), 2);
+        assert_eq!(f[0], ("ev".to_owned(), Value::Str("solve".to_owned())));
+        assert_eq!(f[1].0, "t_ms");
+        let t = f[1].1.as_f64().expect("t_ms is a number");
+        assert!(t.is_finite() && t >= 0.0, "{t}");
+    }
+
+    #[test]
+    fn non_finite_floats_become_null() {
+        let e = event("x")
+            .f64("nan", f64::NAN)
+            .f64("inf", f64::NEG_INFINITY)
+            .f64("ok", 2.5);
+        let v = e.to_value();
+        assert_eq!(v.get("nan"), Some(&Value::Null));
+        assert_eq!(v.get("inf"), Some(&Value::Null));
+        assert_eq!(v.get("ok"), Some(&Value::F64(2.5)));
+    }
+
+    #[test]
+    fn float_arrays_null_only_the_non_finite_entries() {
+        let v = event("x")
+            .f64_array("curve", &[1.0, f64::INFINITY, 0.5, f64::NAN])
+            .to_value();
+        assert_eq!(
+            v.get("curve"),
+            Some(&Value::Array(vec![
+                Value::F64(1.0),
+                Value::Null,
+                Value::F64(0.5),
+                Value::Null,
+            ]))
+        );
+    }
+
+    #[test]
+    fn typed_fields_keep_order_and_round_trip_through_json() {
+        let e = event("step")
+            .u64("n", 7)
+            .i64("delta", -3)
+            .str("prec", "amg \"v\"")
+            .bool("ok", true)
+            .value("extra", Value::Array(vec![Value::U64(1)]));
+        let keys: Vec<String> = fields(&e).into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, ["ev", "t_ms", "n", "delta", "prec", "ok", "extra"]);
+        let v = e.to_value();
+        let parsed = crate::json::parse(&v.to_string()).expect("valid JSON");
+        assert_eq!(parsed, v);
+    }
+}

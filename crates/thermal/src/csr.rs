@@ -2,13 +2,12 @@
 //! matrix, plus the parallel matvec kernel the CG solver runs on.
 //!
 //! [`ThermalModel::build`](crate::model::ThermalModel::build) assembles
-//! its node graph as an adjacency list (natural for edge insertion), then
-//! lowers it once into a [`CsrMatrix`]: three flat arrays (`row_ptr`,
-//! `col_idx`, `values`) that a matvec walks with zero pointer chasing —
-//! one contiguous sweep instead of one heap hop per row. Columns within a
-//! row are sorted ascending and the diagonal entry's position is cached
-//! per row (`diag_idx`), which gives the triangular sweeps of the SSOR
-//! and IC(0) preconditioners (see [`crate::solve`]) their split point for
+//! its node graph as a local adjacency list (natural for edge insertion),
+//! then lowers it once into a [`CsrMatrix`] — the one operator the model
+//! stores: three flat arrays (`row_ptr`, `col_idx`, `values`) that a
+//! matvec walks with zero pointer chasing. Columns within a row are
+//! sorted ascending and the diagonal entry's position is cached per row
+//! (`diag_idx`), which gives the stencil extraction its split point for
 //! free and makes the backward-Euler diagonal patch (`A + C/dt`) an O(n)
 //! update of an existing clone rather than a re-assembly.
 //!

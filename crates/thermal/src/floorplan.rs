@@ -124,13 +124,6 @@ impl Rect {
         wx > GEOM_EPS && wy > GEOM_EPS
     }
 
-    /// Euclidean distance between the centers of two rectangles (m).
-    pub fn center_distance(&self, other: &Rect) -> f64 {
-        let (ax, ay) = self.center();
-        let (bx, by) = other.center();
-        ((ax - bx).powi(2) + (ay - by).powi(2)).sqrt()
-    }
-
     /// Returns this rectangle grown by `margin` on every side.
     pub fn expanded(&self, margin: f64) -> Rect {
         Rect::new(

@@ -373,7 +373,7 @@ mod tests {
         let cells = nx * ny;
         let n = nl * cells;
         let mut nbrs: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
-        let mut link = |nbrs: &mut Vec<Vec<(u32, f64)>>, i: usize, j: usize, g: f64| {
+        let link = |nbrs: &mut Vec<Vec<(u32, f64)>>, i: usize, j: usize, g: f64| {
             nbrs[i].push((j as u32, g));
             nbrs[j].push((i as u32, g));
         };

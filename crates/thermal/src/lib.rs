@@ -22,8 +22,9 @@
 //!   convection to ambient.
 //!
 //! Steady-state temperatures solve `G T = P` (conductance matrix, power
-//! vector) via preconditioned conjugate gradient; transients use backward
-//! Euler. See [`solve`].
+//! vector) by grid-mode PCG over the stencil/CSR operator, with the
+//! fallback ladder GMG -> AMG -> Jacobi; transients use backward Euler.
+//! See [`solve`].
 //!
 //! # Example
 //!
@@ -65,7 +66,6 @@
 pub mod adaptive;
 pub mod amg;
 pub mod analytic;
-pub mod block_model;
 pub mod csr;
 pub mod error;
 pub mod floorplan;

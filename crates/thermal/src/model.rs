@@ -29,8 +29,8 @@ use crate::error::ThermalError;
 use crate::grid::{rasterize, GridSpec};
 use crate::power::PowerMap;
 use crate::solve::{
-    debug_check_solution, solve_cg_reference, solve_cg_resilient_with, Operator, Preconditioner,
-    PreconditionerKind, RecoveryReport, SolveStats, SolverOptions, SolverWorkspace,
+    debug_check_solution, solve_cg_resilient, Operator, Preconditioner, PreconditionerKind,
+    RecoveryReport, SolveStats, SolverOptions, SolverWorkspace,
 };
 use crate::stack::Stack;
 use crate::stencil::StencilOperator;
@@ -51,19 +51,13 @@ pub struct ThermalModel {
     height: f64,
     n_user_layers: usize,
     user_layer_names: Vec<String>,
-    /// Adjacency list: `neighbors[i]` holds `(j, G_ij)`, stored for both
-    /// endpoints. Retained as the reference lowering the CSR matrix is
-    /// checked against (property tests) and as the seed-era solver path
-    /// ([`ThermalModel::steady_state_adjacency`]).
-    neighbors: Vec<Vec<(u32, f64)>>,
     /// Conductance to ambient per node (convection + board path), W/K.
     g_ambient: Vec<f64>,
     /// Lumped heat capacity per node, J/K.
     capacitance: Vec<f64>,
-    /// Diagonal of the conductance matrix (sum of incident G + G_ambient).
-    diagonal: Vec<f64>,
-    /// The conductance matrix lowered to flat CSR at build time; all
-    /// production solves run over this.
+    /// The conductance matrix lowered to flat CSR at build time (the
+    /// node graph is assembled as a local adjacency list and dropped);
+    /// every solve runs over this or its stencil view.
     csr: CsrMatrix,
     /// Matrix-free structured-grid view of `csr` (coefficient planes, no
     /// column indices in the inner loop), extracted at build time when
@@ -366,12 +360,14 @@ impl ThermalModel {
             });
         }
 
-        // Lower the node graph into flat CSR, extract the structured
-        // stencil view, and build the steady-state preconditioner once;
-        // every solve afterwards reuses all three. Large grids default to
-        // the geometric multigrid preconditioner, which needs the stencil
+        // Lower the node graph into flat CSR (the one stored operator; the
+        // adjacency list is dropped here), extract the structured stencil
+        // view, and build the steady-state preconditioner once; every
+        // solve afterwards reuses all three. Large grids default to the
+        // geometric multigrid preconditioner, which needs the stencil
         // geometry; small ones keep AMG (see [`GMG_MIN_CELLS`]).
         let csr = CsrMatrix::from_adjacency(&neighbors, &diagonal);
+        drop(neighbors);
         let stencil = StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers);
         let preconditioner = if cells >= GMG_MIN_CELLS && stencil.is_some() {
             PreconditionerKind::Gmg
@@ -390,10 +386,8 @@ impl ThermalModel {
             height: h,
             n_user_layers: n_user,
             user_layer_names,
-            neighbors,
             g_ambient,
             capacitance,
-            diagonal,
             csr,
             stencil,
             prec,
@@ -437,7 +431,7 @@ impl ThermalModel {
 
     /// Total node count (grid cells of all solver layers + package nodes).
     pub fn node_count(&self) -> usize {
-        self.neighbors.len()
+        self.csr.n()
     }
 
     /// Node index of cell `(ix, iy)` in user layer `layer`.
@@ -534,19 +528,6 @@ impl ThermalModel {
         &self.solver_options
     }
 
-    /// `y = G x` computed directly off the adjacency list — the reference
-    /// lowering the CSR matvec is property-tested against, and the inner
-    /// loop of the seed-era solver path.
-    pub fn matvec_adjacency(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..x.len() {
-            let mut acc = self.diagonal[i] * x[i];
-            for &(j, g) in &self.neighbors[i] {
-                acc -= g * x[j as usize];
-            }
-            y[i] = acc;
-        }
-    }
-
     /// Right-hand side for the steady-state system: power plus ambient
     /// injection, written into a caller buffer.
     fn assemble_rhs_into(&self, power: &PowerMap, b: &mut Vec<f64>) -> Result<(), ThermalError> {
@@ -625,7 +606,7 @@ impl ThermalModel {
                 None => vec![self.ambient; n],
             };
             let mut recovery = RecoveryReport::default();
-            let stats = solve_cg_resilient_with(
+            let stats = solve_cg_resilient(
                 self.operator(),
                 &self.prec,
                 &rhs,
@@ -652,34 +633,6 @@ impl ThermalModel {
                 power.total()
             );
         }
-        Ok(temps)
-    }
-
-    /// The seed's steady-state path — Jacobi CG over the adjacency-list
-    /// matvec, allocating per call — kept as the measured baseline the
-    /// CSR solver's speedup is quoted against (see
-    /// `benches/criterion_thermal.rs`).
-    ///
-    /// # Errors
-    ///
-    /// As [`ThermalModel::steady_state`].
-    #[doc(hidden)]
-    pub fn steady_state_adjacency(
-        &self,
-        power: &PowerMap,
-    ) -> Result<TemperatureField, ThermalError> {
-        let mut b = Vec::new();
-        self.assemble_rhs_into(power, &mut b)?;
-        let mut x = vec![self.ambient; self.node_count()];
-        let stats = solve_cg_reference(
-            |v, out| self.matvec_adjacency(v, out),
-            &self.diagonal,
-            &b,
-            &mut x,
-            &self.solver_options,
-        )?;
-        let temps = TemperatureField::new(self, x, stats, RecoveryReport::default());
-        debug_check_solution(&stats, &self.solver_options, temps.raw());
         Ok(temps)
     }
 
@@ -774,7 +727,7 @@ impl ThermalModel {
                     }
                 }
                 let mut step_recovery = RecoveryReport::default();
-                let s = solve_cg_resilient_with(
+                let s = solve_cg_resilient(
                     op,
                     prec,
                     &rhs,
@@ -877,7 +830,7 @@ impl ThermalModel {
             rhs[i] = rhs0[i] + self.capacitance[i] / dt * x[i];
         }
         let solved = self.with_transient_op(dt, |op, prec| {
-            solve_cg_resilient_with(op, prec, rhs, x, ws, &self.solver_options, recovery)
+            solve_cg_resilient(op, prec, rhs, x, ws, &self.solver_options, recovery)
         });
         match solved {
             Ok(s) => {
@@ -1184,15 +1137,22 @@ mod tests {
     }
 
     #[test]
-    fn symmetry_of_adjacency() {
+    fn symmetry_of_conductance_matrix() {
         let m = model(6);
-        for (i, nbrs) in m.neighbors.iter().enumerate() {
-            for &(j, g) in nbrs {
-                let back = m.neighbors[j as usize]
+        let a = m.csr();
+        for i in 0..a.n() {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let (back_cols, back_vals) = a.row(j as usize);
+                let back = back_cols
                     .iter()
-                    .find(|&&(k, _)| k as usize == i)
-                    .map(|&(_, gb)| gb);
-                assert_eq!(back, Some(g), "edge {i}->{j} not symmetric");
+                    .position(|&k| k as usize == i)
+                    .map(|p| back_vals[p]);
+                assert_eq!(
+                    back.map(f64::to_bits),
+                    Some(v.to_bits()),
+                    "entry ({i},{j}) not symmetric"
+                );
             }
         }
     }
@@ -1296,16 +1256,24 @@ mod tests {
     }
 
     #[test]
-    fn csr_and_adjacency_solvers_agree() {
+    fn steady_state_meets_the_true_residual() {
+        // The solver stops on the recurrence residual; the returned field
+        // must satisfy `||b - G T|| <= tol ||b||` against the assembled
+        // right-hand side too.
         let m = model(8);
         let mut p = PowerMap::zeros(&m);
         p.add_uniform_layer_power(2, Watts::new(15.0));
         p.add_cell_power(0, 2, 5, Watts::new(1.5));
-        let csr = m.steady_state(&p).unwrap();
-        let adj = m.steady_state_adjacency(&p).unwrap();
-        for (a, b) in csr.raw().iter().zip(adj.raw()) {
-            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
-        }
+        let t = m.steady_state(&p).unwrap();
+        let mut b = Vec::new();
+        m.assemble_rhs_into(&p, &mut b).unwrap();
+        let mut gt = vec![0.0; b.len()];
+        m.csr().matvec_serial(t.raw(), &mut gt);
+        let r: Vec<f64> = b.iter().zip(&gt).map(|(bi, gi)| bi - gi).collect();
+        let norm_r = crate::reduce::pairwise_dot(&r, &r).sqrt();
+        let norm_b = crate::reduce::pairwise_dot(&b, &b).sqrt();
+        let tol = m.solver_options().tolerance;
+        assert!(norm_r <= tol * norm_b, "{norm_r} vs {norm_b}");
     }
 
     #[test]
@@ -1364,8 +1332,8 @@ mod tests {
         let mut fields = Vec::new();
         for kind in [
             PreconditionerKind::Jacobi,
-            PreconditionerKind::Ssor,
-            PreconditionerKind::Ic0,
+            PreconditionerKind::Amg,
+            PreconditionerKind::Gmg,
         ] {
             let mut opts = *m.solver_options();
             opts.preconditioner = kind;

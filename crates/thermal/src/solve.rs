@@ -31,29 +31,24 @@
 //!
 //! # Preconditioners
 //!
-//! [`PreconditionerKind`] selects between Jacobi (diagonal scaling; the
-//! historical default), SSOR (symmetric Gauss-Seidel sweeps, no setup
-//! cost), IC(0) (incomplete Cholesky with zero fill), an
+//! [`PreconditionerKind`] selects between Jacobi (diagonal scaling), an
 //! aggregation-based algebraic multigrid V-cycle (see [`crate::amg`]),
 //! and a geometric multigrid V-cycle built from the structured grid
 //! description (see [`crate::gmg`]; only buildable when the geometry is
 //! known, so [`Preconditioner::build_gmg`] is its entry point). On the
 //! RC network's strongly anisotropic conductance structure Jacobi needs
-//! ~400 iterations at 64x64, SSOR/IC(0) cut that to ~180 but pay ~3
-//! matvec-equivalents per apply in serial triangular sweeps, and the
-//! multigrids land at a few dozen iterations for a similar per-apply
-//! cost — the only options that beat Jacobi in wall time on a single
-//! core. The triangular sweeps of SSOR/IC(0) are serial by nature; the
-//! matvec and vector kernels around them still parallelize.
+//! ~400 iterations at 64x64; the multigrids land at a few dozen
+//! iterations for a few matvec-equivalents per apply. Jacobi stays as
+//! the last rung of the [`FALLBACK_LADDER`]: it has no setup to fail
+//! and converges on anything SPD.
 //!
 //! # Operators
 //!
-//! The CG loop itself only needs a matvec, so it runs on an
-//! [`Operator`]: the CSR matrix plus an optional matrix-free
-//! [`StencilOperator`](crate::stencil) fast path whose sweeps are
-//! bit-identical to the CSR kernel. [`solve_cg`] /
-//! [`solve_cg_resilient`] remain the CSR-only entry points;
-//! `*_with` variants accept an [`Operator`].
+//! The CG loop itself only needs a matvec, so [`solve_cg`] and
+//! [`solve_cg_resilient`] run on an [`Operator`]: the CSR matrix plus an
+//! optional matrix-free [`StencilOperator`](crate::stencil) fast path
+//! whose sweeps are bit-identical to the CSR kernel. A bare matrix is
+//! [`Operator::csr`].
 
 use serde::{Deserialize, Serialize};
 
@@ -68,15 +63,6 @@ pub enum PreconditionerKind {
     /// Diagonal (Jacobi) scaling: cheapest per iteration, most
     /// iterations.
     Jacobi,
-    /// Symmetric successive over-relaxation at `omega = 1` (symmetric
-    /// Gauss-Seidel): no setup cost, roughly one extra matvec-equivalent
-    /// per iteration.
-    Ssor,
-    /// Incomplete Cholesky with zero fill-in. One-time factorization at
-    /// model build; good iteration counts on the RC network's strongly
-    /// anisotropic (vertical >> lateral) conductance structure, but the
-    /// serial triangular sweeps make each apply cost ~3 matvecs.
-    Ic0,
     /// Aggregation-based algebraic multigrid V-cycle (the default).
     /// One-time hierarchy setup at model build; an order of magnitude
     /// fewer CG iterations than Jacobi at a few matvec-equivalents per
@@ -103,8 +89,8 @@ pub struct SolverOptions {
     /// Which preconditioner to build and apply.
     pub preconditioner: PreconditionerKind,
     /// Whether [`solve_cg_resilient`] may escalate down the fallback
-    /// ladder (GMG -> AMG -> IC0 -> SSOR -> Jacobi) when the configured
-    /// solve fails, instead of surfacing
+    /// ladder (GMG -> AMG -> Jacobi) when the configured solve fails,
+    /// instead of surfacing
     /// [`ThermalError::NoConvergence`].
     pub fallback: bool,
 }
@@ -126,11 +112,9 @@ impl Default for SolverOptions {
 /// retries on AMG first (the algebraic hierarchy needs no geometry and
 /// tolerates matrices GMG's structural assumptions misread), and every
 /// configured kind ends at plain Jacobi.
-pub const FALLBACK_LADDER: [PreconditionerKind; 5] = [
+pub const FALLBACK_LADDER: [PreconditionerKind; 3] = [
     PreconditionerKind::Gmg,
     PreconditionerKind::Amg,
-    PreconditionerKind::Ic0,
-    PreconditionerKind::Ssor,
     PreconditionerKind::Jacobi,
 ];
 
@@ -286,7 +270,7 @@ pub struct SolveStats {
 /// verbatim afterwards.
 ///
 /// The `rhs`/`rhs0` staging buffers are for *callers* assembling
-/// right-hand sides ([`solve_cg`] itself never touches them); take them
+/// right-hand sides (the solvers never touch them); take them
 /// with `std::mem::take` for the duration of a solve and put them back.
 #[derive(Debug, Clone, Default)]
 pub struct SolverWorkspace {
@@ -336,34 +320,11 @@ pub enum Preconditioner {
         /// `1 / a_ii` per row.
         inv_diag: Vec<f64>,
     },
-    /// Symmetric Gauss-Seidel sweeps read the matrix itself; only the
-    /// diagonal is cached.
-    Ssor {
-        /// `a_ii` per row.
-        diag: Vec<f64>,
-    },
-    /// Incomplete Cholesky factor `L` (lower triangular, diagonal last
-    /// per row) and its transpose (diagonal first per row), both in flat
-    /// CSR arrays.
-    Ic0(Box<Ic0Factor>),
     /// Aggregation AMG hierarchy; one apply is a symmetric V(1,1) cycle.
     Amg(Box<crate::amg::AmgHierarchy>),
     /// Geometric multigrid hierarchy over the structured stack grid;
     /// one apply is a symmetric V(1,1) cycle with z-line smoothing.
     Gmg(Box<crate::gmg::GmgHierarchy>),
-}
-
-/// The IC(0) factor storage; split out to keep [`Preconditioner`] small.
-#[derive(Debug, Clone)]
-pub struct Ic0Factor {
-    row_ptr: Vec<u32>,
-    col_idx: Vec<u32>,
-    values: Vec<f64>,
-    /// `1 / l_ii` per row: the sweeps multiply instead of divide.
-    inv_diag: Vec<f64>,
-    t_row_ptr: Vec<u32>,
-    t_col_idx: Vec<u32>,
-    t_values: Vec<f64>,
 }
 
 impl PreconditionerKind {
@@ -372,8 +333,6 @@ impl PreconditionerKind {
     pub fn label(self) -> &'static str {
         match self {
             PreconditionerKind::Jacobi => "jacobi",
-            PreconditionerKind::Ssor => "ssor",
-            PreconditionerKind::Ic0 => "ic0",
             PreconditionerKind::Amg => "amg",
             PreconditionerKind::Gmg => "gmg",
         }
@@ -386,8 +345,6 @@ impl Preconditioner {
     pub fn kind(&self) -> PreconditionerKind {
         match self {
             Preconditioner::Jacobi { .. } => PreconditionerKind::Jacobi,
-            Preconditioner::Ssor { .. } => PreconditionerKind::Ssor,
-            Preconditioner::Ic0(_) => PreconditionerKind::Ic0,
             Preconditioner::Amg(_) => PreconditionerKind::Amg,
             Preconditioner::Gmg(_) => PreconditionerKind::Gmg,
         }
@@ -406,8 +363,6 @@ impl Preconditioner {
             PreconditionerKind::Jacobi => Preconditioner::Jacobi {
                 inv_diag: a.diagonal().iter().map(|d| 1.0 / d).collect(),
             },
-            PreconditionerKind::Ssor => Preconditioner::Ssor { diag: a.diagonal() },
-            PreconditionerKind::Ic0 => Preconditioner::Ic0(Box::new(Ic0Factor::factor(a))),
             PreconditionerKind::Amg | PreconditionerKind::Gmg => {
                 Preconditioner::Amg(Box::new(crate::amg::AmgHierarchy::build(a)))
             }
@@ -452,40 +407,6 @@ impl Preconditioner {
                 }
                 Some(reduce_pairwise(partials))
             }
-            Preconditioner::Ssor { diag } => {
-                // Symmetric Gauss-Seidel: M = (D+L) D^-1 (D+U).
-                // Forward solve (D+L) y = r, writing y into z.
-                let n = a.n();
-                for i in 0..n {
-                    let (cols, vals) = a.row(i);
-                    let dp = a.diag_pos(i);
-                    let mut acc = r[i];
-                    for k in 0..dp {
-                        acc -= vals[k] * z[cols[k] as usize];
-                    }
-                    z[i] = acc / diag[i];
-                }
-                // Scale: w = D y (in place), then backward solve
-                // (D+U) z = w in place: position i reads w_i before
-                // overwriting it, and only final z_j for j > i.
-                for i in 0..n {
-                    z[i] *= diag[i];
-                }
-                for i in (0..n).rev() {
-                    let (cols, vals) = a.row(i);
-                    let dp = a.diag_pos(i);
-                    let mut acc = z[i];
-                    for k in dp + 1..cols.len() {
-                        acc -= vals[k] * z[cols[k] as usize];
-                    }
-                    z[i] = acc / diag[i];
-                }
-                None
-            }
-            Preconditioner::Ic0(f) => {
-                f.solve(r, z);
-                None
-            }
             Preconditioner::Amg(h) => {
                 h.apply(a, r, z);
                 None
@@ -527,17 +448,10 @@ impl<'a> Operator<'a> {
         Operator { csr: a, stencil }
     }
 
-    /// The CSR form (preconditioner setup and triangular sweeps always
-    /// read this).
+    /// The CSR form (preconditioner setup and apply always read this).
     #[must_use]
     pub fn matrix(&self) -> &'a CsrMatrix {
         self.csr
-    }
-
-    /// Whether the matrix-free fast path is active.
-    #[must_use]
-    pub fn is_matrix_free(&self) -> bool {
-        self.stencil.is_some()
     }
 
     /// `y = A x` through the fastest available backend.
@@ -549,144 +463,17 @@ impl<'a> Operator<'a> {
     }
 }
 
-impl Ic0Factor {
-    /// Up-looking IC(0) factorization on the sparsity of `lower(a)`.
-    /// The matrix is an M-matrix (positive diagonal, non-positive
-    /// off-diagonals, diagonally dominant via the ambient grounding), so
-    /// the factorization cannot break down; the defensive clamp below
-    /// only guards pathological inputs from tests.
-    fn factor(a: &CsrMatrix) -> Self {
-        let n = a.n();
-        // Lower-triangular pattern (columns < i, then the diagonal last).
-        let mut row_ptr = Vec::with_capacity(n + 1);
-        row_ptr.push(0u32);
-        let mut col_idx: Vec<u32> = Vec::new();
-        let mut values: Vec<f64> = Vec::new();
-        for i in 0..n {
-            let (cols, vals) = a.row(i);
-            let dp = a.diag_pos(i);
-            for k in 0..dp {
-                col_idx.push(cols[k]);
-                values.push(vals[k]);
-            }
-            col_idx.push(i as u32);
-            values.push(vals[dp]);
-            row_ptr.push(col_idx.len() as u32);
-        }
-
-        // Factor in place. When row i is processed, rows < i are final
-        // and within row i every entry left of the current one is final.
-        for i in 0..n {
-            let lo = row_ptr[i] as usize;
-            let hi = row_ptr[i + 1] as usize; // diag at hi-1
-            for e in lo..hi - 1 {
-                let k = col_idx[e] as usize;
-                // values[e] currently holds a_ik; subtract
-                // sum_m l_im * l_km over shared columns m < k.
-                let klo = row_ptr[k] as usize;
-                let khi = row_ptr[k + 1] as usize - 1; // k's diag excluded
-                let mut s = values[e];
-                let (mut x, mut y) = (lo, klo);
-                while x < e && y < khi {
-                    match col_idx[x].cmp(&col_idx[y]) {
-                        std::cmp::Ordering::Less => x += 1,
-                        std::cmp::Ordering::Greater => y += 1,
-                        std::cmp::Ordering::Equal => {
-                            s -= values[x] * values[y];
-                            x += 1;
-                            y += 1;
-                        }
-                    }
-                }
-                // l_kk is final (row k < i).
-                values[e] = s / values[khi];
-            }
-            let mut d = values[hi - 1];
-            for v in &values[lo..hi - 1] {
-                d -= v * v;
-            }
-            // M-matrix => d > 0; clamp defensively rather than emit NaN.
-            values[hi - 1] = d.max(f64::MIN_POSITIVE).sqrt();
-        }
-        let inv_diag: Vec<f64> = (0..n)
-            .map(|i| 1.0 / values[row_ptr[i + 1] as usize - 1])
-            .collect();
-
-        // Transpose (rows of L^T = upper triangular, diagonal first).
-        let nnz = col_idx.len();
-        let mut t_counts = vec![0u32; n];
-        for &j in &col_idx {
-            t_counts[j as usize] += 1;
-        }
-        let mut t_row_ptr = Vec::with_capacity(n + 1);
-        t_row_ptr.push(0u32);
-        let mut acc = 0u32;
-        for &c in &t_counts {
-            acc += c;
-            t_row_ptr.push(acc);
-        }
-        let mut t_col_idx = vec![0u32; nnz];
-        let mut t_values = vec![0.0f64; nnz];
-        let mut cursor: Vec<u32> = t_row_ptr[..n].to_vec();
-        for i in 0..n {
-            // Rows scanned in order, so each transpose row's columns come
-            // out ascending: the diagonal (j == i) lands first.
-            for e in row_ptr[i] as usize..row_ptr[i + 1] as usize {
-                let j = col_idx[e] as usize;
-                let slot = cursor[j] as usize;
-                t_col_idx[slot] = i as u32;
-                t_values[slot] = values[e];
-                cursor[j] += 1;
-            }
-        }
-
-        Ic0Factor {
-            row_ptr,
-            col_idx,
-            values,
-            inv_diag,
-            t_row_ptr,
-            t_col_idx,
-            t_values,
-        }
-    }
-
-    /// `z = (L L^T)^-1 r`: forward then backward substitution, the
-    /// backward sweep in place.
-    fn solve(&self, r: &[f64], z: &mut [f64]) {
-        let n = r.len();
-        for i in 0..n {
-            let lo = self.row_ptr[i] as usize;
-            let hi = self.row_ptr[i + 1] as usize;
-            let mut acc = r[i];
-            for e in lo..hi - 1 {
-                acc -= self.values[e] * z[self.col_idx[e] as usize];
-            }
-            z[i] = acc * self.inv_diag[i];
-        }
-        for i in (0..n).rev() {
-            let lo = self.t_row_ptr[i] as usize;
-            let hi = self.t_row_ptr[i + 1] as usize;
-            // Diagonal first, strictly-upper entries after it.
-            let mut acc = z[i];
-            for e in lo + 1..hi {
-                acc -= self.t_values[e] * z[self.t_col_idx[e] as usize];
-            }
-            z[i] = acc * self.inv_diag[i];
-        }
-    }
-}
-
-/// Solves `A x = b` by preconditioned conjugate gradient over CSR
-/// storage.
+/// Solves `A x = b` by preconditioned conjugate gradient over `op`,
+/// with the matvec dispatched through the stencil fast path when one is
+/// attached ([`Operator::csr`] for a bare matrix).
 ///
-/// * `prec` must have been built for exactly this `a`
+/// * `prec` must have been built for exactly `op.matrix()`
 ///   ([`Preconditioner::build`]);
 /// * `x` holds the initial guess on entry (warm starts welcome — a guess
 ///   near the solution directly cuts iterations) and the solution on
 ///   exit;
 /// * `ws` provides every work vector; no allocation happens per solve
-///   once the workspace has grown to `a.n()`.
+///   once the workspace has grown to `op.matrix().n()`.
 ///
 /// # Errors
 ///
@@ -697,24 +484,6 @@ impl Ic0Factor {
 ///
 /// Debug-asserts matching dimensions.
 pub fn solve_cg(
-    a: &CsrMatrix,
-    prec: &Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    ws: &mut SolverWorkspace,
-    options: &SolverOptions,
-) -> Result<SolveStats, ThermalError> {
-    solve_cg_with(Operator::csr(a), prec, b, x, ws, options)
-}
-
-/// [`solve_cg`] over an [`Operator`] — same contract, with the matvec
-/// dispatched through the stencil fast path when one is attached.
-///
-/// # Errors
-///
-/// [`ThermalError::NoConvergence`] if the relative residual does not fall
-/// below `options.tolerance` within `options.max_iterations`.
-pub fn solve_cg_with(
     op: Operator<'_>,
     prec: &Preconditioner,
     b: &[f64],
@@ -886,6 +655,9 @@ fn solution_is_finite(x: &[f64]) -> bool {
 ///
 /// With `options.fallback == false` this is exactly [`solve_cg`].
 ///
+/// Every matvec goes through `op` (stencil fast path included); rung
+/// preconditioners are rebuilt from `op.matrix()`.
+///
 /// The returned [`SolveStats`] count iterations across the failed
 /// attempt and all rungs tried; the residual is the final (recovered)
 /// one.
@@ -894,28 +666,8 @@ fn solution_is_finite(x: &[f64]) -> bool {
 ///
 /// [`ThermalError::NoConvergence`] only when every rung of the ladder
 /// has failed.
-pub fn solve_cg_resilient(
-    a: &CsrMatrix,
-    prec: &Preconditioner,
-    b: &[f64],
-    x: &mut [f64],
-    ws: &mut SolverWorkspace,
-    options: &SolverOptions,
-    report: &mut RecoveryReport,
-) -> Result<SolveStats, ThermalError> {
-    solve_cg_resilient_with(Operator::csr(a), prec, b, x, ws, options, report)
-}
-
-/// [`solve_cg_resilient`] over an [`Operator`]: the fallback ladder with
-/// the stencil fast path active for every matvec (rung preconditioners
-/// are still built from the CSR form, which every kind can read).
-///
-/// # Errors
-///
-/// [`ThermalError::NoConvergence`] only when every rung of the ladder
-/// has failed.
 #[allow(clippy::too_many_arguments)]
-pub fn solve_cg_resilient_with(
+pub fn solve_cg_resilient(
     op: Operator<'_>,
     prec: &Preconditioner,
     b: &[f64],
@@ -925,7 +677,7 @@ pub fn solve_cg_resilient_with(
     report: &mut RecoveryReport,
 ) -> Result<SolveStats, ThermalError> {
     if !options.fallback {
-        return solve_cg_with(op, prec, b, x, ws, options);
+        return solve_cg(op, prec, b, x, ws, options);
     }
     // Back up the entry iterate so rungs can cold-restart from it. The
     // buffer is workspace-owned: no allocation once it has grown.
@@ -934,7 +686,7 @@ pub fn solve_cg_resilient_with(
     x0.extend_from_slice(x);
 
     let mut total_iters = 0usize;
-    let first = solve_cg_with(op, prec, b, x, ws, options);
+    let first = solve_cg(op, prec, b, x, ws, options);
     let mut last_residual = match first {
         Ok(stats) => {
             if solution_is_finite(x) {
@@ -978,7 +730,7 @@ pub fn solve_cg_resilient_with(
             preconditioner: kind,
             fallback: false,
         };
-        match solve_cg_with(op, &rung_prec, b, x, ws, &loose) {
+        match solve_cg(op, &rung_prec, b, x, ws, &loose) {
             Ok(s) if solution_is_finite(x) => {
                 rung_iters += s.iterations;
                 // Re-tighten: continue from the relaxed solution down to
@@ -987,7 +739,7 @@ pub fn solve_cg_resilient_with(
                     tolerance: options.tolerance,
                     ..loose
                 };
-                match solve_cg_with(op, &rung_prec, b, x, ws, &tight) {
+                match solve_cg(op, &rung_prec, b, x, ws, &tight) {
                     Ok(t) if solution_is_finite(x) => {
                         rung_iters += t.iterations;
                         rung_residual = t.residual;
@@ -1079,99 +831,6 @@ pub fn solve_cg_resilient_with(
     }
 }
 
-/// The seed's Jacobi-CG over a caller-supplied matvec closure, kept
-/// verbatim as the comparison baseline for the solver-scaling benchmarks
-/// and the CSR-equivalence property tests. Allocates its work vectors
-/// per call and re-measures `dot(r, r)` every iteration — exactly the
-/// costs the CSR path was built to shed.
-#[doc(hidden)]
-pub fn solve_cg_reference(
-    mut matvec: impl FnMut(&[f64], &mut [f64]),
-    diag: &[f64],
-    b: &[f64],
-    x: &mut [f64],
-    options: &SolverOptions,
-) -> Result<SolveStats, ThermalError> {
-    let n = b.len();
-    debug_assert_eq!(x.len(), n);
-    debug_assert_eq!(diag.len(), n);
-
-    let norm_b = dot_naive(b, b).sqrt();
-    if norm_b == 0.0 {
-        x.iter_mut().for_each(|v| *v = 0.0);
-        return Ok(SolveStats {
-            iterations: 0,
-            residual: 0.0,
-        });
-    }
-
-    let mut r = vec![0.0; n];
-    let mut z = vec![0.0; n];
-    let mut p = vec![0.0; n];
-    let mut ap = vec![0.0; n];
-
-    matvec(x, &mut r);
-    for i in 0..n {
-        r[i] = b[i] - r[i];
-    }
-    for i in 0..n {
-        z[i] = r[i] / diag[i];
-    }
-    p.copy_from_slice(&z);
-    let mut rz = dot_naive(&r, &z);
-
-    for it in 0..options.max_iterations {
-        let res = dot_naive(&r, &r).sqrt() / norm_b;
-        if res <= options.tolerance {
-            return Ok(SolveStats {
-                iterations: it,
-                residual: res,
-            });
-        }
-        matvec(&p, &mut ap);
-        let pap = dot_naive(&p, &ap);
-        if pap <= 0.0 || !pap.is_finite() {
-            return Err(ThermalError::NoConvergence {
-                iterations: it,
-                residual: res,
-                tolerance: options.tolerance,
-            });
-        }
-        let alpha = rz / pap;
-        for i in 0..n {
-            x[i] += alpha * p[i];
-            r[i] -= alpha * ap[i];
-        }
-        for i in 0..n {
-            z[i] = r[i] / diag[i];
-        }
-        let rz_next = dot_naive(&r, &z);
-        let beta = rz_next / rz;
-        rz = rz_next;
-        for i in 0..n {
-            p[i] = z[i] + beta * p[i];
-        }
-    }
-
-    let res = dot_naive(&r, &r).sqrt() / norm_b;
-    if res <= options.tolerance {
-        Ok(SolveStats {
-            iterations: options.max_iterations,
-            residual: res,
-        })
-    } else {
-        Err(ThermalError::NoConvergence {
-            iterations: options.max_iterations,
-            residual: res,
-            tolerance: options.tolerance,
-        })
-    }
-}
-
-fn dot_naive(a: &[f64], b: &[f64]) -> f64 {
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
-
 /// Debug-build sanity checks on a converged solution: the reported
 /// residual must respect the requested tolerance (with slack for the
 /// final-iteration overshoot) and every temperature must be a physically
@@ -1198,7 +857,7 @@ pub fn debug_check_solution(stats: &SolveStats, options: &SolverOptions, temps_c
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::reduce::chunk_dot;
+    use crate::reduce::{chunk_dot, pairwise_dot};
 
     fn solve(
         a: &CsrMatrix,
@@ -1212,7 +871,7 @@ mod tests {
             preconditioner: kind,
             ..SolverOptions::default()
         };
-        solve_cg(a, &prec, b, x, &mut ws, &options)
+        solve_cg(Operator::csr(a), &prec, b, x, &mut ws, &options)
     }
 
     /// A 1D Laplacian chain: SPD, needs real CG iterations.
@@ -1228,12 +887,8 @@ mod tests {
         CsrMatrix::from_triplets(n, &t)
     }
 
-    const ALL_KINDS: [PreconditionerKind; 4] = [
-        PreconditionerKind::Jacobi,
-        PreconditionerKind::Ssor,
-        PreconditionerKind::Ic0,
-        PreconditionerKind::Amg,
-    ];
+    const ALL_KINDS: [PreconditionerKind; 2] =
+        [PreconditionerKind::Jacobi, PreconditionerKind::Amg];
 
     #[test]
     fn solves_diagonal_system() {
@@ -1277,7 +932,7 @@ mod tests {
     fn zero_rhs_gives_zero() {
         let a = CsrMatrix::from_triplets(2, &[(0, 0, 2.0), (1, 1, 2.0)]);
         let mut x = vec![5.0, -3.0];
-        let stats = solve(&a, &[0.0, 0.0], &mut x, PreconditionerKind::Ic0).unwrap();
+        let stats = solve(&a, &[0.0, 0.0], &mut x, PreconditionerKind::Jacobi).unwrap();
         assert_eq!(x, vec![0.0, 0.0]);
         assert_eq!(stats.iterations, 0);
     }
@@ -1296,7 +951,7 @@ mod tests {
             preconditioner: PreconditionerKind::Jacobi,
             fallback: false,
         };
-        let err = solve_cg(&a, &prec, &b, &mut x, &mut ws, &opts).unwrap_err();
+        let err = solve_cg(Operator::csr(&a), &prec, &b, &mut x, &mut ws, &opts).unwrap_err();
         match err {
             ThermalError::NoConvergence { iterations, .. } => assert_eq!(iterations, 2),
             other => panic!("unexpected error {other}"),
@@ -1306,32 +961,55 @@ mod tests {
     #[test]
     fn ladder_recovers_from_a_starved_iteration_cap() {
         // An iteration cap far below what the chain needs forces the
-        // configured AMG attempt to fail; the ladder must escalate and
-        // still deliver the tight-tolerance solution.
+        // configured attempt to fail; the ladder must escalate to the
+        // next rung and still deliver the tight-tolerance solution. A
+        // chain is one cell column of `n` layers, so the geometric
+        // hierarchy builds on it too: a starved GMG solve is rescued by
+        // AMG, a starved AMG solve by Jacobi. On a single column the GMG
+        // hierarchy is one dense Cholesky level, exact in one iteration,
+        // so only a zero cap starves it.
         let n = 300;
         let a = chain(n, 2.02);
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 * 0.1).collect();
 
         let mut reference = vec![0.0; n];
-        solve(&a, &b, &mut reference, PreconditionerKind::Ic0).unwrap();
+        solve(&a, &b, &mut reference, PreconditionerKind::Jacobi).unwrap();
 
-        let opts = SolverOptions {
-            tolerance: 1e-9,
-            max_iterations: 2,
-            preconditioner: PreconditionerKind::Amg,
-            fallback: true,
-        };
-        let prec = Preconditioner::build(&a, opts.preconditioner);
-        let mut ws = SolverWorkspace::new();
-        let mut x = vec![0.0; n];
-        let mut report = RecoveryReport::default();
-        let stats = solve_cg_resilient(&a, &prec, &b, &mut x, &mut ws, &opts, &mut report).unwrap();
-        assert!(!report.is_empty(), "ladder should have fired");
-        assert!(report.recoveries >= 1);
-        assert!(report.events.last().unwrap().recovered);
-        assert!(stats.residual <= opts.tolerance);
-        for (p, q) in x.iter().zip(&reference) {
-            assert!((p - q).abs() < 1e-6, "{p} vs {q}");
+        let gmg = Preconditioner::build_gmg(&a, 1, 1, n).expect("geometry matches");
+        let amg = Preconditioner::build(&a, PreconditionerKind::Amg);
+        for (prec, cap, rescuer) in [
+            (gmg, 0, PreconditionerKind::Amg),
+            (amg, 2, PreconditionerKind::Jacobi),
+        ] {
+            let opts = SolverOptions {
+                tolerance: 1e-9,
+                max_iterations: cap,
+                preconditioner: prec.kind(),
+                fallback: true,
+            };
+            let mut ws = SolverWorkspace::new();
+            let mut x = vec![0.0; n];
+            let mut report = RecoveryReport::default();
+            let stats = solve_cg_resilient(
+                Operator::csr(&a),
+                &prec,
+                &b,
+                &mut x,
+                &mut ws,
+                &opts,
+                &mut report,
+            )
+            .unwrap();
+            let kind = opts.preconditioner;
+            assert_eq!(report.attempts, 1, "{kind:?}: one rung suffices");
+            assert_eq!(report.recoveries, 1, "{kind:?}");
+            let ev = report.events[0];
+            assert!(ev.recovered, "{kind:?}");
+            assert_eq!(ev.rung, rescuer, "{kind:?} is rescued by the next rung");
+            assert!(stats.residual <= opts.tolerance);
+            for (p, q) in x.iter().zip(&reference) {
+                assert!((p - q).abs() < 1e-6, "{kind:?}: {p} vs {q}");
+            }
         }
     }
 
@@ -1344,9 +1022,10 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; 120];
-        let s1 = solve_cg_resilient(&a, &prec, &b, &mut x, &mut ws, &opts, &mut report).unwrap();
+        let op = Operator::csr(&a);
+        let s1 = solve_cg_resilient(op, &prec, &b, &mut x, &mut ws, &opts, &mut report).unwrap();
         let mut y = vec![0.0; 120];
-        let s2 = solve_cg(&a, &prec, &b, &mut y, &mut ws, &opts).unwrap();
+        let s2 = solve_cg(op, &prec, &b, &mut y, &mut ws, &opts).unwrap();
         assert!(report.is_empty());
         assert_eq!(s1, s2);
         assert_eq!(x, y, "bitwise-identical to the plain path");
@@ -1370,10 +1049,27 @@ mod tests {
         let mut ws = SolverWorkspace::new();
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; 200];
-        let err =
-            solve_cg_resilient(&a, &prec, &b, &mut x, &mut ws, &opts, &mut report).unwrap_err();
+        let err = solve_cg_resilient(
+            Operator::csr(&a),
+            &prec,
+            &b,
+            &mut x,
+            &mut ws,
+            &opts,
+            &mut report,
+        )
+        .unwrap_err();
         assert!(matches!(err, ThermalError::NoConvergence { .. }));
-        assert_eq!(report.attempts, 3, "all rungs after AMG tried");
+        let rungs_after_amg = FALLBACK_LADDER.len()
+            - 1
+            - FALLBACK_LADDER
+                .iter()
+                .position(|&k| k == PreconditionerKind::Amg)
+                .unwrap();
+        assert_eq!(
+            report.attempts, rungs_after_amg,
+            "all rungs after AMG tried"
+        );
         assert_eq!(report.recoveries, 0);
     }
 
@@ -1412,10 +1108,10 @@ mod tests {
         let a = CsrMatrix::from_triplets(n, &t);
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).cos()).collect();
         let mut cold = vec![0.0; n];
-        let cold_stats = solve(&a, &b, &mut cold, PreconditionerKind::Ic0).unwrap();
+        let cold_stats = solve(&a, &b, &mut cold, PreconditionerKind::Jacobi).unwrap();
         // Warm start from the solution itself: ~0 iterations.
         let mut warm = cold.clone();
-        let warm_stats = solve(&a, &b, &mut warm, PreconditionerKind::Ic0).unwrap();
+        let warm_stats = solve(&a, &b, &mut warm, PreconditionerKind::Jacobi).unwrap();
         assert!(warm_stats.iterations < cold_stats.iterations);
         assert!(warm_stats.iterations <= 1, "{}", warm_stats.iterations);
         for (w, c) in warm.iter().zip(&cold) {
@@ -1466,8 +1162,16 @@ mod tests {
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; n];
         let _guard = DeadlineGuard::install(std::time::Instant::now());
-        let err = solve_cg_resilient(&a, &prec, &b, &mut x, &mut ws, &opts, &mut report)
-            .expect_err("ladder must abort under an expired deadline");
+        let err = solve_cg_resilient(
+            Operator::csr(&a),
+            &prec,
+            &b,
+            &mut x,
+            &mut ws,
+            &opts,
+            &mut report,
+        )
+        .expect_err("ladder must abort under an expired deadline");
         assert!(
             matches!(err, ThermalError::DeadlineExceeded { .. }),
             "ladder must abort, not climb: {err}"
@@ -1490,35 +1194,6 @@ mod tests {
     }
 
     #[test]
-    fn ic0_factor_of_diagonal_matrix_is_sqrt() {
-        let a = CsrMatrix::from_triplets(3, &[(0, 0, 4.0), (1, 1, 9.0), (2, 2, 16.0)]);
-        let f = Ic0Factor::factor(&a);
-        let mut z = vec![0.0; 3];
-        f.solve(&[4.0, 9.0, 16.0], &mut z);
-        assert_eq!(z, vec![1.0, 1.0, 1.0]);
-    }
-
-    #[test]
-    fn ic0_is_exact_for_tridiagonal() {
-        // IC(0) of a tridiagonal SPD matrix is the exact Cholesky factor,
-        // so PCG converges in one iteration.
-        let n = 60;
-        let mut t = Vec::new();
-        for i in 0..n {
-            t.push((i, i, 3.0));
-            if i + 1 < n {
-                t.push((i, i + 1, -1.0));
-                t.push((i + 1, i, -1.0));
-            }
-        }
-        let a = CsrMatrix::from_triplets(n, &t);
-        let b = vec![1.0; n];
-        let mut x = vec![0.0; n];
-        let stats = solve(&a, &b, &mut x, PreconditionerKind::Ic0).unwrap();
-        assert!(stats.iterations <= 2, "{}", stats.iterations);
-    }
-
-    #[test]
     fn gmg_kind_degrades_to_amg_without_geometry() {
         let a = chain(30, 2.2);
         // A bare matrix has no grid geometry: build() degrades to AMG.
@@ -1535,7 +1210,7 @@ mod tests {
             preconditioner: PreconditionerKind::Gmg,
             ..SolverOptions::default()
         };
-        let stats = solve_cg(&a, &p, &b, &mut x, &mut ws, &opts).unwrap();
+        let stats = solve_cg(Operator::csr(&a), &p, &b, &mut x, &mut ws, &opts).unwrap();
         assert!(stats.residual <= opts.tolerance);
         let mut ax = vec![0.0; 30];
         a.matvec_serial(&x, &mut ax);
@@ -1550,17 +1225,17 @@ mod tests {
         // through the matrix-free path must match the CSR path bitwise.
         let a = chain(80, 2.3);
         let s = StencilOperator::from_csr(&a, 1, 1, 80).expect("structured");
-        let prec = Preconditioner::build(&a, PreconditionerKind::Ic0);
+        let prec = Preconditioner::build(&a, PreconditionerKind::Amg);
         let opts = SolverOptions {
-            preconditioner: PreconditionerKind::Ic0,
+            preconditioner: PreconditionerKind::Amg,
             ..SolverOptions::default()
         };
         let b: Vec<f64> = (0..80).map(|i| ((i * 7) % 11) as f64 * 0.2 + 0.1).collect();
         let mut ws = SolverWorkspace::new();
         let mut x_csr = vec![0.0; 80];
-        let s1 = solve_cg(&a, &prec, &b, &mut x_csr, &mut ws, &opts).unwrap();
+        let s1 = solve_cg(Operator::csr(&a), &prec, &b, &mut x_csr, &mut ws, &opts).unwrap();
         let mut x_st = vec![0.0; 80];
-        let s2 = solve_cg_with(
+        let s2 = solve_cg(
             Operator::with_stencil(&a, Some(&s)),
             &prec,
             &b,
@@ -1605,7 +1280,10 @@ mod tests {
     }
 
     #[test]
-    fn reference_and_csr_solvers_agree() {
+    fn csr_solve_meets_the_true_residual() {
+        // The convergence test runs on the recurrence residual; the true
+        // residual `b - A x` of the returned solution must meet the same
+        // relative tolerance.
         let n = 120;
         let mut t = Vec::new();
         for i in 0..n {
@@ -1621,20 +1299,15 @@ mod tests {
         }
         let a = CsrMatrix::from_triplets(n, &t);
         let b: Vec<f64> = (0..n).map(|i| 1.0 + (i % 7) as f64).collect();
-        let mut x_new = vec![0.0; n];
-        solve(&a, &b, &mut x_new, PreconditionerKind::Ic0).unwrap();
-        let diag = a.diagonal();
-        let mut x_ref = vec![0.0; n];
-        solve_cg_reference(
-            |v, out| a.matvec_serial(v, out),
-            &diag,
-            &b,
-            &mut x_ref,
-            &SolverOptions::default(),
-        )
-        .unwrap();
-        for (p, q) in x_new.iter().zip(&x_ref) {
-            assert!((p - q).abs() < 1e-7, "{p} vs {q}");
+        let tol = SolverOptions::default().tolerance;
+        for kind in ALL_KINDS {
+            let mut x = vec![0.0; n];
+            solve(&a, &b, &mut x, kind).unwrap();
+            let mut ax = vec![0.0; n];
+            a.matvec_serial(&x, &mut ax);
+            let r: Vec<f64> = b.iter().zip(&ax).map(|(bi, axi)| bi - axi).collect();
+            let (norm_r, norm_b) = (pairwise_dot(&r, &r).sqrt(), pairwise_dot(&b, &b).sqrt());
+            assert!(norm_r <= tol * norm_b, "{kind:?}: {norm_r} vs {norm_b}");
         }
     }
 }

@@ -10,7 +10,7 @@ use xylem_thermal::package::Package;
 use xylem_thermal::power::PowerMap;
 use xylem_thermal::stack::Stack;
 use xylem_thermal::units::Watts;
-use xylem_thermal::{SolverWorkspace, ThermalModel};
+use xylem_thermal::{CsrMatrix, SolverWorkspace, ThermalModel};
 
 const DIE: f64 = 8e-3;
 
@@ -125,39 +125,67 @@ proptest! {
         prop_assert!((sum - 1.0).abs() < 1e-9, "{sum}");
     }
 
-    /// The flat CSR matvec agrees with the adjacency-list reference
-    /// lowering on arbitrary stacks and grids.
+    /// `CsrMatrix::from_adjacency` lowers an arbitrary symmetric
+    /// conductance graph faithfully: its matvec agrees with a naive walk
+    /// of the adjacency list, rows come out sorted with the diagonal at
+    /// `diag_pos`, and the auto-dispatching matvec is bit-identical to
+    /// the serial one.
     #[test]
-    fn csr_matvec_matches_adjacency(
-        layers in 1usize..5,
-        nx in 3usize..10,
-        ny in 3usize..10,
-        thickness_um in 40.0f64..200.0,
+    fn csr_from_adjacency_matches_naive_matvec(
+        n in 1usize..80,
+        edges_per_node in 0.0f64..4.0,
         seed in 0u64..1000,
     ) {
-        let mut b = Stack::builder(DIE, DIE).package(Package::default_for_die(DIE, DIE));
-        for l in 0..layers {
-            let mat = if l % 2 == 0 { SILICON.clone() } else { D2D_AVERAGE.clone() };
-            b = b.layer(Layer::uniform(format!("l{l}"), thickness_um * 1e-6, mat));
-        }
-        let m = b.build().unwrap().discretize(GridSpec::new(nx, ny)).unwrap();
-        let n = m.node_count();
-        // Deterministic pseudo-random input vector from the seed.
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-        let x: Vec<f64> = (0..n).map(|_| {
+        let mut next = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
-        }).collect();
-        let mut y_adj = vec![0.0; n];
-        let mut y_csr = vec![0.0; n];
-        m.matvec_adjacency(&x, &mut y_adj);
-        m.csr().matvec_serial(&x, &mut y_csr);
-        for (a, c) in y_adj.iter().zip(&y_csr) {
-            prop_assert!((a - c).abs() <= 1e-9 * a.abs().max(1.0), "{a} vs {c}");
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        // Random symmetric graph: each edge listed at both endpoints, no
+        // self or duplicate edges, positive conductances.
+        let mut neighbors: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for _ in 0..(edges_per_node * n as f64) as usize {
+            let i = (next() * n as f64) as usize;
+            let j = (next() * n as f64) as usize;
+            if i == j || neighbors[i].iter().any(|&(k, _)| k as usize == j) {
+                continue;
+            }
+            let g = 0.01 + next() * 10.0;
+            neighbors[i].push((j as u32, g));
+            neighbors[j].push((i as u32, g));
         }
-        // The auto-dispatching matvec is bit-identical to the serial one.
+        let diagonal: Vec<f64> = neighbors
+            .iter()
+            .map(|nb| nb.iter().map(|&(_, g)| g).sum::<f64>() + 0.1 + next())
+            .collect();
+        let a = CsrMatrix::from_adjacency(&neighbors, &diagonal);
+        prop_assert_eq!(a.n(), n);
+        let x: Vec<f64> = (0..n).map(|_| next() - 0.5).collect();
+
+        // Naive reference: y_i = d_i x_i - sum_j g_ij x_j.
+        let mut y_naive = vec![0.0; n];
+        for i in 0..n {
+            let mut acc = diagonal[i] * x[i];
+            for &(j, g) in &neighbors[i] {
+                acc -= g * x[j as usize];
+            }
+            y_naive[i] = acc;
+        }
+        let mut y_csr = vec![0.0; n];
+        a.matvec_serial(&x, &mut y_csr);
+        for (i, (p, c)) in y_naive.iter().zip(&y_csr).enumerate() {
+            let scale = diagonal[i] * (1.0 + x.iter().map(|v| v.abs()).fold(0.0, f64::max));
+            prop_assert!((p - c).abs() <= 1e-12 * scale, "row {i}: {p} vs {c}");
+        }
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            prop_assert!(cols.windows(2).all(|w| w[0] < w[1]), "row {i} unsorted");
+            prop_assert_eq!(cols[a.diag_pos(i)] as usize, i);
+            prop_assert!(vals[a.diag_pos(i)].to_bits() == diagonal[i].to_bits());
+            prop_assert_eq!(cols.len(), neighbors[i].len() + 1);
+        }
         let mut y_auto = vec![0.0; n];
-        m.csr().matvec(&x, &mut y_auto);
+        a.matvec(&x, &mut y_auto);
         for (c, au) in y_csr.iter().zip(&y_auto) {
             prop_assert!(c.to_bits() == au.to_bits());
         }
