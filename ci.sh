@@ -12,7 +12,9 @@
 #                    # stencil-vs-CSR matvec microbench, matched-accuracy
 #                    # adaptive comparison
 #   ./ci.sh faults   # fault-injection sweep: seeded sensor faults, forced
-#                    # solver failures, checkpoint/resume bit-identity
+#                    # solver failures, checkpoint/resume bit-identity,
+#                    # and the crash-consistency suites (checkpoint and
+#                    # shared-journal truncation at every byte)
 #   ./ci.sh golden   # fast paper-claims suite (EXPERIMENTS.md ✅ rows) +
 #                    # observability invariants, in release mode
 #   ./ci.sh adaptive # adaptive-stepping convergence vs fixed-step reference
@@ -77,6 +79,9 @@ if [[ "${1:-}" == "faults" ]]; then
   cargo test -q -p xylem-core --test fault_injection
   echo "==> DTM fault/checkpoint property tests"
   cargo test -q -p xylem-core --test proptest_dtm
+  echo "==> crash consistency (checkpoint every-byte truncation, shared journal every-byte truncation)"
+  cargo test -q -p xylem-core --test checkpoint_truncation
+  cargo test -q -p xylem-core --test journal_crash
   echo "Fault sweep green."
   exit 0
 fi

@@ -17,12 +17,9 @@
 //! JSON floats round-trip exactly (shortest-representation printing),
 //! so a resumed run continues from bit-identical state — the
 //! fault-injection suite asserts resume equals an uninterrupted run.
-//! Writes go to a temporary sibling file first, are fsynced, renamed
-//! into place, and the parent directory is fsynced after the rename —
-//! a crash mid-write never corrupts the previous checkpoint, and a
-//! power loss just after `save` returns cannot un-link the new file
-//! (the rename itself must be durable, which requires the directory
-//! sync, not just the file sync).
+//! Files are written with [`crate::durable::write_atomic`]: a crash
+//! mid-write never corrupts the previous checkpoint, and a power loss
+//! just after `save` returns cannot un-link the new file.
 //!
 //! The envelope is payload-agnostic: [`save_payload`] / [`load_payload`]
 //! wrap any serialized string in the same magic/version/checksum armor,
@@ -34,8 +31,10 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::dtm::DtmSample;
+use crate::durable::write_atomic;
 use crate::error::CheckpointError;
 use crate::sensor::SensorArray;
+use xylem_obs::hash::fnv1a;
 use xylem_thermal::{AdaptiveController, RecoveryReport};
 
 /// First bytes of every checkpoint file.
@@ -104,17 +103,6 @@ pub struct DtmCheckpoint {
     pub adaptive: Option<AdaptiveController>,
 }
 
-/// FNV-1a 64-bit hash.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 /// Hash of a run configuration's canonical JSON, as stored in
 /// [`DtmCheckpoint::config_hash`].
 #[must_use]
@@ -129,23 +117,10 @@ fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
     }
 }
 
-/// Fsyncs the directory containing `path`, making a just-completed
-/// rename into that directory durable. An empty parent (bare relative
-/// file name) syncs the current directory.
-fn fsync_parent(path: &Path) -> Result<(), CheckpointError> {
-    let parent = match path.parent() {
-        Some(p) if !p.as_os_str().is_empty() => p,
-        _ => Path::new("."),
-    };
-    let dir = std::fs::File::open(parent).map_err(|e| io_err(parent, e))?;
-    dir.sync_all().map_err(|e| io_err(parent, e))
-}
-
 /// Writes `payload` to `path` wrapped in the checkpoint envelope
-/// (magic, version, FNV-1a checksum), durably: temp sibling + file
-/// fsync + rename + parent-directory fsync. After this returns, the
-/// file survives power loss at any instant — either the old content or
-/// the new, never a torn mix, never a vanished entry.
+/// (magic, version, FNV-1a checksum) via [`write_atomic`]: either the
+/// old content or the new survives a power loss at any instant, never a
+/// torn mix, never a vanished entry.
 ///
 /// # Errors
 ///
@@ -161,15 +136,7 @@ pub fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
     let text = serde_json::to_string(&envelope).map_err(|e| CheckpointError::Corrupt {
         reason: format!("envelope serialization failed: {e}"),
     })?;
-    let tmp = path.with_extension("tmp");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp).map_err(|e| io_err(&tmp, e))?;
-        f.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, e))?;
-        f.sync_all().map_err(|e| io_err(&tmp, e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, e))?;
-    fsync_parent(path)
+    write_atomic(path, text.as_bytes()).map_err(|e| io_err(path, e))
 }
 
 /// Reads and validates an envelope written by [`save_payload`] (magic,
@@ -209,8 +176,8 @@ pub fn load_payload(path: &Path) -> Result<String, CheckpointError> {
     Ok(envelope.payload)
 }
 
-/// Serializes `ckpt` to `path` atomically and durably (temp file +
-/// fsync + rename + directory fsync).
+/// Serializes `ckpt` to `path` atomically and durably (see
+/// [`save_payload`]).
 ///
 /// # Errors
 ///
@@ -446,9 +413,11 @@ mod tests {
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
+        // Published FNV-1a 64-bit test vectors, through the hex form the
+        // checkpoint stores as its config hash.
         assert_eq!(fnv1a(b""), 0xCBF2_9CE4_8422_2325);
-        assert_eq!(fnv1a(b"a"), 0xAF63_DC4C_8601_EC8C);
-        assert_eq!(fnv1a(b"foobar"), 0x85944171F73967E8);
+        assert_eq!(config_hash(""), "cbf29ce484222325");
+        assert_eq!(config_hash("a"), "af63dc4c8601ec8c");
+        assert_eq!(config_hash("foobar"), "85944171f73967e8");
     }
 }

@@ -43,6 +43,7 @@
 
 pub mod checkpoint;
 pub mod dtm;
+pub mod durable;
 pub mod error;
 pub mod evaluation;
 pub mod headroom;

@@ -18,6 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
+use xylem_obs::hash::splitmix64;
 use xylem_thermal::temperature::TemperatureField;
 use xylem_thermal::units::Celsius;
 
@@ -223,14 +224,6 @@ pub struct SensorArray {
     /// readings still in flight; [`SensorArray::sample`] pushes the new
     /// reading and delivers the front.
     queues: Vec<Vec<SensorReading>>,
-}
-
-/// splitmix64 finalizer: a well-mixed 64-bit hash.
-fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// Uniform in [0, 1) from (seed, step, sensor) — stateless, so any step

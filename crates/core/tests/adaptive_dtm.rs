@@ -62,7 +62,7 @@ fn downgrade_to_v1(path: &Path) {
     let start = text.find("\"payload\":\"").unwrap() + "\"payload\":\"".len();
     let end = text.rfind("\",\"version\"").unwrap();
     let payload = text[start..end].replace("\\\"", "\"");
-    let sum = format!("{:016x}", checkpoint::fnv1a(payload.as_bytes()));
+    let sum = format!("{:016x}", xylem_obs::fnv1a(payload.as_bytes()));
     let csum_start = text.find("\"checksum\":\"").unwrap() + "\"checksum\":\"".len();
     let mut fixed = text.clone();
     fixed.replace_range(csum_start..csum_start + 16, &sum);

@@ -91,6 +91,7 @@ const NO_PANIC_SUFFIXES: &[&str] = &[
     "crates/core/src/dtm.rs",
     "crates/core/src/sensor.rs",
     "crates/core/src/checkpoint.rs",
+    "crates/core/src/durable.rs",
     "crates/thermal/src/solve.rs",
     "crates/thermal/src/model.rs",
     "crates/thermal/src/adaptive.rs",

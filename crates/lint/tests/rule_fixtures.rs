@@ -363,6 +363,17 @@ fn serve_zone_positive_fixture_is_inert_outside_the_zone() {
     }
 }
 
+#[test]
+fn durable_layer_mount_is_panic_free() {
+    // The shared journal and atomic writer sit under every recovery
+    // path (sweep resume, spool restart, checkpoint save): a panic there
+    // turns a survivable torn tail into a crash.
+    let pos = fixture("serve_zone", "pos");
+    let panics = findings_of(NO_PANIC, "crates/core/src/durable.rs", &pos);
+    assert_eq!(panics.len(), 1, "{panics:?}");
+    assert_eq!(panics[0].symbol, "expect");
+}
+
 // ---- determinism-zone mount (scenario lowering) ------------------
 
 const SCENARIO_MOUNT: &str = "crates/scenario/src/lower.rs";

@@ -29,6 +29,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod event;
+pub mod hash;
 pub mod json;
 pub mod metrics;
 pub mod report;
@@ -36,11 +37,12 @@ pub mod sink;
 pub mod span;
 
 pub use event::{event, Event};
+pub use hash::fnv1a;
 pub use metrics::{
     add, counter, counters_snapshot, gauge, gauges_snapshot, incr, record_ns, reset_metrics,
     set_gauge, summarize, Counter, Gauge, Hist, HistSummary,
 };
-pub use report::{fnv1a, RunManifest, RunReport};
+pub use report::{RunManifest, RunReport};
 pub use sink::{
     elapsed_ms, enabled, flush, install_file, install_memory, install_writer, shutdown, MemorySink,
 };

@@ -10,24 +10,11 @@
 use std::fmt;
 
 use crate::event::event;
+use crate::hash::fnv1a;
 use crate::json::Value;
 use crate::metrics::{
     counter, counters_snapshot, gauges_snapshot, summarize, Counter, Hist, HistSummary,
 };
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte string. Stable across platforms and runs; used for
-/// config hashes in manifests (matching the checkpoint hash discipline).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// Provenance for one run: what produced this file, with which config.
 #[derive(Debug, Clone)]
@@ -261,7 +248,8 @@ mod tests {
 
     #[test]
     fn fnv_matches_reference_vectors() {
-        // Standard FNV-1a 64-bit test vectors.
+        // Standard FNV-1a 64-bit test vectors for the hash behind
+        // `RunManifest::config_hash`.
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);

@@ -8,19 +8,8 @@
 //! digests are the comparison currency, and also what the subprocess
 //! thread-determinism test prints.
 
+use xylem_obs::hash::{fnv1a_extend, FNV_OFFSET};
 use xylem_thermal::model::ThermalModel;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
-    let mut h = hash;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
 
 /// FNV-1a over the exact bit patterns of a float slice.
 ///
@@ -30,7 +19,7 @@ fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
 pub fn field_digest(values: &[f64]) -> u64 {
     let mut h = FNV_OFFSET;
     for v in values {
-        h = fnv1a(h, &v.to_bits().to_le_bytes());
+        h = fnv1a_extend(h, &v.to_bits().to_le_bytes());
     }
     h
 }
@@ -45,12 +34,12 @@ pub fn field_digest(values: &[f64]) -> u64 {
 pub fn conductance_digest(model: &ThermalModel) -> u64 {
     let csr = model.csr();
     let mut h = FNV_OFFSET;
-    h = fnv1a(h, &(csr.n() as u64).to_le_bytes());
+    h = fnv1a_extend(h, &(csr.n() as u64).to_le_bytes());
     for i in 0..csr.n() {
         let (cols, vals) = csr.row(i);
         for (c, v) in cols.iter().zip(vals) {
-            h = fnv1a(h, &c.to_le_bytes());
-            h = fnv1a(h, &v.to_bits().to_le_bytes());
+            h = fnv1a_extend(h, &c.to_le_bytes());
+            h = fnv1a_extend(h, &v.to_bits().to_le_bytes());
         }
     }
     h

@@ -5,11 +5,11 @@
 //! is exactly reproducible — re-running with the same seed injects the
 //! same panics at the same slices, which is what lets the selftest
 //! assert bit-identical recovery instead of merely "it didn't crash".
-//!
-//! The serve crate deliberately does not depend on `xylem-sweep` (the
-//! workspace CLI bin lives in the sweep package and depends on serve,
-//! so a lib-level dependency back onto sweep would be a package cycle);
-//! the mixer is small enough to own.
+
+/// The serve hash: session, source and digest keys all use the spool's
+/// frozen FNV-1a variant.
+pub use xylem_obs::hash::fnv1a_serve as fnv1a;
+use xylem_obs::hash::splitmix64;
 
 /// What chaos decided to do to one slice attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,33 +70,6 @@ impl ChaosConfig {
             ChaosOutcome::None
         }
     }
-}
-
-/// SplitMix64 finalizer: a full-avalanche 64-bit mixer.
-pub fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// FNV-1a over a byte slice; the workspace's standard cheap stable hash.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
-/// Extends an FNV-1a chain with one `u64` (little-endian bytes).
-pub fn fnv1a_extend(mut h: u64, word: u64) -> u64 {
-    for b in word.to_le_bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// The marker every injected panic's payload starts with; the panic

@@ -16,9 +16,10 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use serde::{Map, Number, Value};
+use xylem_obs::hash::splitmix64;
 use xylem_obs::metrics::{counter, summarize, Counter, Hist};
 
-use crate::chaos::{splitmix64, ChaosConfig};
+use crate::chaos::ChaosConfig;
 use crate::error::ServeError;
 use crate::scheduler::{Server, ServerConfig, Submission, SubmitParams, TenantQuota};
 

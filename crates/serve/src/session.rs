@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use serde::{Deserialize, Serialize};
+use xylem_obs::hash::{fnv1a_serve, fnv1a_serve_extend};
 use xylem_scenario::digest::field_digest;
 use xylem_thermal::error::ThermalError;
 use xylem_thermal::model::ThermalModel;
@@ -20,7 +21,7 @@ use xylem_thermal::power::PowerMap;
 use xylem_thermal::solve::{DeadlineGuard, SolverWorkspace};
 use xylem_thermal::temperature::TemperatureField;
 
-use crate::chaos::{fnv1a, fnv1a_extend, ChaosConfig, ChaosOutcome, CHAOS_PANIC_MARKER};
+use crate::chaos::{ChaosConfig, ChaosOutcome, CHAOS_PANIC_MARKER};
 use crate::error::{Rejection, ServeError};
 
 /// Number of throttle levels the serve-side DTM ladder distinguishes.
@@ -59,7 +60,7 @@ pub struct SessionSpec {
 impl SessionSpec {
     /// Stable key for chaos decisions and fair hashing.
     pub fn chaos_key(&self) -> u64 {
-        fnv1a_extend(fnv1a(self.tenant.as_bytes()), self.id)
+        fnv1a_serve_extend(fnv1a_serve(self.tenant.as_bytes()), &self.id.to_le_bytes())
     }
 }
 
@@ -94,7 +95,7 @@ impl SessionState {
             temps: Vec::new(),
             level: 0,
             frames: 0,
-            chain: fnv1a(b"xylem-serve-frame-chain"),
+            chain: fnv1a_serve(b"xylem-serve-frame-chain"),
             frame_stride: spec.frame_every.max(1),
             deadline_misses: 0,
             attempts: 0,
@@ -173,7 +174,7 @@ impl ModelRegistry {
     ///
     /// A permanent [`Rejection`] carrying the first parse diagnostic.
     pub fn register(&mut self, source: &str) -> Result<u64, Rejection> {
-        let key = fnv1a(source.as_bytes());
+        let key = fnv1a_serve(source.as_bytes());
         if self.sources.contains_key(&key) {
             return Ok(key);
         }
@@ -329,7 +330,10 @@ pub fn run_slice(req: &SliceRequest) -> SliceOutcome {
     state.step += k as u32;
     state.temps = t.raw().to_vec();
     let digest = field_digest(t.raw());
-    state.chain = fnv1a_extend(fnv1a_extend(state.chain, u64::from(state.step)), digest);
+    state.chain = fnv1a_serve_extend(
+        fnv1a_serve_extend(state.chain, &u64::from(state.step).to_le_bytes()),
+        &digest.to_le_bytes(),
+    );
     let frame = FrameRecord {
         id: req.spec.id,
         idx: state.frames,

@@ -10,22 +10,24 @@
 //!   ckpt/<id>.ckpt      per-session state checkpoints (envelope format)
 //! ```
 //!
-//! Crash-only discipline: both journals are append-only, written line
-//! by line with an fsync *before* the checkpoint that supersedes the
-//! line's slice. A torn tail (the one partially-written line a SIGKILL
-//! can leave) is detected on open and physically truncated before
-//! appends resume; mid-file corruption, by contrast, is an error —
-//! silent data loss in the middle of a journal means the storage lied,
-//! and resuming over it would fabricate history.
+//! Crash-only discipline: both journals are append-only
+//! [`xylem::durable::Journal`]s, written line by line with an fsync
+//! *before* the checkpoint that supersedes the line's slice, and source
+//! files are written with [`write_atomic`]. A torn tail (the one
+//! partially-written line a SIGKILL can leave, possibly ending inside a
+//! multi-byte character) is ignored on open and physically truncated
+//! before appends resume; mid-file corruption, by contrast, is an error
+//! — silent data loss in the middle of a journal means the storage
+//! lied, and resuming over it would fabricate history.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 use xylem::checkpoint::{load_payload, save_payload};
+use xylem::durable::{write_atomic, Journal, Scan};
 use xylem::error::CheckpointError;
+use xylem_obs::hash::{fnv1a_serve_extend, FNV_OFFSET};
 
 use crate::error::ServeError;
 use crate::session::{FrameRecord, SessionSpec, SessionState};
@@ -102,11 +104,8 @@ pub struct SpoolScan {
 /// The server's durable storage handle.
 pub struct Spool {
     dir: PathBuf,
-    manifest: File,
-    frames: File,
-    /// Whether appends fsync before returning (tests may relax this;
-    /// the crash drill requires it on).
-    sync: bool,
+    manifest: Journal,
+    frames: Journal,
 }
 
 fn io_ctx(e: std::io::Error, path: &Path) -> ServeError {
@@ -116,63 +115,42 @@ fn io_ctx(e: std::io::Error, path: &Path) -> ServeError {
     ))
 }
 
-/// Scans a journal file: returns its parsed lines and the byte length
-/// of the valid prefix. Only a *trailing* unparsable fragment is
-/// tolerated (and reported for truncation).
-fn scan_lines(path: &Path) -> Result<(Vec<String>, u64, bool), ServeError> {
-    let mut text = String::new();
-    match File::open(path) {
-        Ok(mut f) => {
-            f.read_to_string(&mut text).map_err(|e| io_ctx(e, path))?;
-        }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok((Vec::new(), 0, false)),
-        Err(e) => return Err(io_ctx(e, path)),
+/// Reads a journal file without modifying it (`None` when it does not
+/// exist yet).
+fn read_journal(path: &Path) -> Result<Option<Scan>, ServeError> {
+    match Scan::read(path) {
+        Ok(scan) => Ok(Some(scan)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(io_ctx(e, path)),
     }
-    let mut lines = Vec::new();
-    let mut valid_len = 0u64;
-    let mut torn = false;
-    let mut offset = 0usize;
-    for raw in text.split_inclusive('\n') {
-        let complete = raw.ends_with('\n');
-        let line = raw.trim_end_matches('\n');
-        let parses = !line.trim().is_empty() && serde_json::from_str::<serde::Value>(line).is_ok();
-        if complete && parses {
-            lines.push(line.to_string());
-            valid_len = (offset + raw.len()) as u64;
-        } else if complete {
-            // A complete but unparsable line mid-file is corruption.
-            return Err(ServeError::Corrupt {
-                source: path.display().to_string(),
-                detail: format!("unparsable record at byte {offset}"),
-            });
-        } else {
-            // Incomplete final line: the torn tail.
-            torn = true;
-        }
-        offset += raw.len();
-    }
-    Ok((lines, valid_len, torn))
 }
 
-/// Opens (appending, creating) a journal after truncating a torn tail.
-fn open_journal(path: &Path) -> Result<(Vec<String>, File), ServeError> {
-    let (lines, valid_len, torn) = scan_lines(path)?;
-    let file = OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| io_ctx(e, path))?;
-    if torn {
-        file.set_len(valid_len).map_err(|e| io_ctx(e, path))?;
-        file.sync_all().map_err(|e| io_ctx(e, path))?;
+/// Opens a validated journal for appending, creating it if missing.
+fn open_journal(
+    path: &Path,
+    scan: Option<&Scan>,
+    fsync_every: usize,
+) -> Result<Journal, ServeError> {
+    match scan {
+        Some(scan) => Journal::resume(path, scan, fsync_every),
+        None => Journal::create(path, fsync_every),
     }
-    Ok((lines, file))
+    .map_err(|e| io_ctx(e, path))
+}
+
+/// Parses complete line `line_no` of journal `path` as a `T`; a line
+/// that does not parse is mid-file corruption.
+fn parse<T: Deserialize>(path: &Path, line_no: usize, line: &[u8]) -> Result<T, ServeError> {
+    serde_json::from_slice(line).map_err(|e| ServeError::Corrupt {
+        source: path.display().to_string(),
+        detail: format!("line {line_no}: {e}"),
+    })
 }
 
 impl Spool {
     /// Opens (or creates) a spool directory, recovering every durable
     /// record. Torn journal tails are truncated; everything else must
-    /// parse.
+    /// parse, and a spool that does not is left untouched.
     ///
     /// # Errors
     ///
@@ -184,15 +162,12 @@ impl Spool {
 
         let manifest_path = dir.join("manifest.jsonl");
         let frames_path = dir.join("frames.jsonl");
-        let (manifest_lines, manifest) = open_journal(&manifest_path)?;
-        let (frame_lines, frames) = open_journal(&frames_path)?;
+        let manifest_raw = read_journal(&manifest_path)?;
+        let frames_raw = read_journal(&frames_path)?;
 
         let mut scan = SpoolScan::default();
-        for line in &manifest_lines {
-            let v: serde::Value = serde_json::from_str(line).map_err(|e| ServeError::Corrupt {
-                source: manifest_path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+        for (i, line) in manifest_raw.iter().flat_map(Scan::lines).enumerate() {
+            let v: serde::Value = parse(&manifest_path, i + 1, line)?;
             let tag = v
                 .as_object()
                 .and_then(|m| m.get("record"))
@@ -200,11 +175,7 @@ impl Spool {
                 .unwrap_or("");
             match tag {
                 "submit" => {
-                    let r: SubmitRecord =
-                        serde_json::from_str(line).map_err(|e| ServeError::Corrupt {
-                            source: manifest_path.display().to_string(),
-                            detail: e.to_string(),
-                        })?;
+                    let r: SubmitRecord = parse(&manifest_path, i + 1, line)?;
                     scan.max_id = scan.max_id.max(r.id);
                     scan.submits.push(SessionSpec {
                         id: r.id,
@@ -219,19 +190,11 @@ impl Spool {
                     });
                 }
                 "done" => {
-                    let r: DoneRecord =
-                        serde_json::from_str(line).map_err(|e| ServeError::Corrupt {
-                            source: manifest_path.display().to_string(),
-                            detail: e.to_string(),
-                        })?;
+                    let r: DoneRecord = parse(&manifest_path, i + 1, line)?;
                     scan.done.insert(r.id, r);
                 }
                 "quarantine" => {
-                    let r: QuarantineRecord =
-                        serde_json::from_str(line).map_err(|e| ServeError::Corrupt {
-                            source: manifest_path.display().to_string(),
-                            detail: e.to_string(),
-                        })?;
+                    let r: QuarantineRecord = parse(&manifest_path, i + 1, line)?;
                     scan.quarantined.insert(r.id);
                 }
                 other => {
@@ -242,11 +205,8 @@ impl Spool {
                 }
             }
         }
-        for line in &frame_lines {
-            let r: FrameLine = serde_json::from_str(line).map_err(|e| ServeError::Corrupt {
-                source: frames_path.display().to_string(),
-                detail: e.to_string(),
-            })?;
+        for (i, line) in frames_raw.iter().flat_map(Scan::lines).enumerate() {
+            let r: FrameLine = parse(&frames_path, i + 1, line)?;
             let durable = scan.durable_frames.entry(r.id).or_insert(0);
             *durable = (*durable).max(r.idx + 1);
         }
@@ -258,21 +218,22 @@ impl Spool {
             let name = name.to_string_lossy();
             if let Some(hex) = name.strip_suffix(".stk") {
                 if let Ok(key) = u64::from_str_radix(hex, 16) {
-                    let mut text = String::new();
-                    File::open(entry.path())
-                        .and_then(|mut f| f.read_to_string(&mut text))
+                    let text = std::fs::read_to_string(entry.path())
                         .map_err(|e| io_ctx(e, &entry.path()))?;
                     scan.sources.push((key, text));
                 }
             }
         }
 
+        // Everything validated: only now touch the journals.
+        let fsync_every = usize::from(sync);
+        let manifest = open_journal(&manifest_path, manifest_raw.as_ref(), fsync_every)?;
+        let frames = open_journal(&frames_path, frames_raw.as_ref(), fsync_every)?;
         Ok((
             Spool {
                 dir: dir.to_path_buf(),
                 manifest,
                 frames,
-                sync,
             },
             scan,
         ))
@@ -283,37 +244,13 @@ impl Spool {
         &self.dir
     }
 
-    fn append(&mut self, which: Which, line: &str) -> Result<(), ServeError> {
-        let (file, path) = match which {
-            Which::Manifest => (&mut self.manifest, self.dir.join("manifest.jsonl")),
-            Which::Frames => (&mut self.frames, self.dir.join("frames.jsonl")),
-        };
-        file.write_all(line.as_bytes())
-            .and_then(|()| file.write_all(b"\n"))
-            .map_err(|e| io_ctx(e, &path))?;
-        if self.sync {
-            file.sync_all().map_err(|e| io_ctx(e, &path))?;
-        }
-        Ok(())
-    }
-
     /// Durably records a new scenario source (idempotent per key).
     pub fn record_source(&mut self, key: u64, source: &str) -> Result<(), ServeError> {
         let path = self.dir.join("sources").join(format!("{key:016x}.stk"));
         if path.exists() {
             return Ok(());
         }
-        let tmp = path.with_extension("stk.tmp");
-        {
-            let mut f = File::create(&tmp).map_err(|e| io_ctx(e, &tmp))?;
-            f.write_all(source.as_bytes())
-                .map_err(|e| io_ctx(e, &tmp))?;
-            if self.sync {
-                f.sync_all().map_err(|e| io_ctx(e, &tmp))?;
-            }
-        }
-        std::fs::rename(&tmp, &path).map_err(|e| io_ctx(e, &path))?;
-        Ok(())
+        write_atomic(&path, source.as_bytes()).map_err(|e| io_ctx(e, &path))
     }
 
     /// Durably records an admission. Must precede any compute for the
@@ -332,7 +269,7 @@ impl Spool {
             deadline_ms: spec.deadline_ms,
         };
         let line = serde_json::to_string(&r).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        self.append(Which::Manifest, &line)
+        append(&mut self.manifest, &line)
     }
 
     /// Durably records a frame. Returns the serialized line so the
@@ -349,14 +286,14 @@ impl Spool {
             level: frame.level,
         };
         let line = serde_json::to_string(&r).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        self.append(Which::Frames, &line)?;
+        append(&mut self.frames, &line)?;
         Ok(line)
     }
 
     /// Durably records completion.
     pub fn record_done(&mut self, rec: &DoneRecord) -> Result<(), ServeError> {
         let line = serde_json::to_string(rec).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        self.append(Which::Manifest, &line)
+        append(&mut self.manifest, &line)
     }
 
     /// Builds a `done` record.
@@ -366,13 +303,9 @@ impl Spool {
             id,
             step: state.step,
             frames: state.frames,
-            final_digest: crate::chaos::fnv1a(
-                &state
-                    .temps
-                    .iter()
-                    .flat_map(|t| t.to_bits().to_le_bytes())
-                    .collect::<Vec<u8>>(),
-            ),
+            final_digest: state.temps.iter().fold(FNV_OFFSET, |h, t| {
+                fnv1a_serve_extend(h, &t.to_bits().to_le_bytes())
+            }),
             chain: state.chain,
         }
     }
@@ -385,7 +318,7 @@ impl Spool {
             reason: reason.to_string(),
         };
         let line = serde_json::to_string(&r).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        self.append(Which::Manifest, &line)
+        append(&mut self.manifest, &line)
     }
 
     /// Path of a session's checkpoint file.
@@ -424,14 +357,15 @@ impl Spool {
     }
 }
 
-enum Which {
-    Manifest,
-    Frames,
+fn append(journal: &mut Journal, line: &str) -> Result<(), ServeError> {
+    journal.append(line).map_err(|e| io_ctx(e, journal.path()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -521,6 +455,36 @@ mod tests {
     }
 
     #[test]
+    fn torn_tail_inside_a_utf8_character_is_truncated_on_open() {
+        let dir = tmp("utf8");
+        {
+            let (mut spool, _) = Spool::open(&dir, true).expect("open");
+            spool.record_submit(&spec(1)).expect("submit");
+            let mut zoe = spec(2);
+            zoe.tenant = "zo\u{eb}".to_string();
+            spool.record_submit(&zoe).expect("submit");
+        }
+        // A SIGKILL between the two bytes of `ë` (0xC3 0xAB).
+        let path = dir.join("manifest.jsonl");
+        let bytes = std::fs::read(&path).expect("read");
+        let cut = bytes
+            .windows(2)
+            .position(|w| w == [0xC3, 0xAB])
+            .expect("tenant bytes present")
+            + 1;
+        std::fs::write(&path, &bytes[..cut]).expect("tear");
+        let (_, scan) = Spool::open(&dir, true).expect("reopen tolerates a torn character");
+        assert_eq!(scan.submits, vec![spec(1)]);
+        let bytes = std::fs::read(&path).expect("read");
+        assert_eq!(
+            bytes.last(),
+            Some(&b'\n'),
+            "tail must be physically truncated"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn mid_file_corruption_is_an_error() {
         let dir = tmp("corrupt");
         {
@@ -549,6 +513,71 @@ mod tests {
         let dir = tmp("nockpt");
         let (spool, _) = Spool::open(&dir, true).expect("open");
         assert!(spool.load_state(42).expect("ok").is_none());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        // Written by the parent format; any encoder or framing change
+        // that would strand existing spools fails here.
+        let dir = tmp("pinned");
+        let (mut spool, _) = Spool::open(&dir, true).expect("open");
+        spool
+            .record_submit(&SessionSpec {
+                id: 7,
+                tenant: "zo\u{eb}".into(),
+                source_key: 0x0123_4567_89ab_cdef,
+                steps: 40,
+                dt_s: 1e-3,
+                frame_every: 5,
+                power_scale: 1.25,
+                trip_c: Some(85.5),
+                deadline_ms: None,
+            })
+            .expect("submit");
+        spool
+            .record_frame(&FrameRecord {
+                id: 7,
+                idx: 3,
+                step: 20,
+                hot_c: 0.1 + 0.2 + 80.0,
+                digest: u64::MAX,
+                chain: 0xdead_beef,
+                level: 2,
+            })
+            .expect("frame");
+        let state = SessionState {
+            step: 40,
+            temps: vec![45.0, 1.0 / 3.0],
+            level: 1,
+            frames: 8,
+            chain: 42,
+            frame_stride: 5,
+            deadline_misses: 0,
+            attempts: 1,
+        };
+        spool
+            .record_done(&Spool::done_record(7, &state))
+            .expect("done");
+        spool
+            .record_quarantine(8, "deadline \"missed\" \u{d7}3")
+            .expect("quarantine");
+        drop(spool);
+        let manifest = concat!(
+            r#"{"deadline_ms":null,"dt_s":0.001,"frame_every":5,"id":7,"power_scale":1.25,"record":"submit","source_key":81985529216486895,"steps":40,"tenant":"zoë","trip_c":85.5}"#,
+            "\n",
+            r#"{"chain":42,"final_digest":7007210308551703817,"frames":8,"id":7,"record":"done","step":40}"#,
+            "\n",
+            r#"{"id":8,"reason":"deadline \"missed\" ×3","record":"quarantine"}"#,
+            "\n",
+        );
+        let frames = concat!(
+            r#"{"chain":3735928559,"digest":18446744073709551615,"hot_c":80.3,"id":7,"idx":3,"level":2,"record":"frame","step":20}"#,
+            "\n",
+        );
+        let read = |name: &str| std::fs::read_to_string(dir.join(name)).expect("read");
+        assert_eq!(read("manifest.jsonl"), manifest);
+        assert_eq!(read("frames.jsonl"), frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,15 +8,7 @@
 //! task (e.g. after a journal resume) or re-sharding the pool reproduces
 //! the identical schedule at any thread count.
 
-/// splitmix64 finalizer: a well-mixed 64-bit hash (the same mixer the
-/// sensor noise model uses for counter-based determinism).
-#[must_use]
-pub fn splitmix64(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use xylem_obs::hash::splitmix64;
 
 /// Exponential-backoff policy with deterministic jitter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,13 +51,6 @@ impl BackoffPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_stable() {
-        // Reference values from the canonical splitmix64 stream.
-        assert_eq!(splitmix64(0), 0xE220_A839_7B1D_CDAF);
-        assert_ne!(splitmix64(1), splitmix64(2));
-    }
 
     #[test]
     fn delay_is_deterministic_under_a_fixed_seed() {

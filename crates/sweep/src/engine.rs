@@ -31,11 +31,12 @@ use std::time::{Duration, Instant};
 
 use xylem::headroom::max_frequency_at_iso_temperature;
 use xylem::{SweepError, XylemError, XylemSystem};
+use xylem_obs::hash::splitmix64;
 use xylem_obs::metrics::{incr, record_ns, summarize, Counter, Hist, HistSummary};
 use xylem_thermal::units::Celsius;
 use xylem_thermal::{DeadlineGuard, ThermalError};
 
-use crate::backoff::{splitmix64, BackoffPolicy};
+use crate::backoff::BackoffPolicy;
 use crate::journal::{Journal, JournalScan, TaskRecord, TaskResult, TaskStatus};
 use crate::spec::{SweepSpec, TaskSpec};
 

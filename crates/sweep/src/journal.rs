@@ -1,7 +1,8 @@
 //! Append-only JSONL result journal with crash-tolerant resume.
 //!
-//! One line per completed task (plus a header line), written through
-//! [`xylem_obs::json`]'s writer and fsync'd in batches. The format is
+//! One line per completed task (plus a header line), encoded with
+//! [`xylem_obs::json`]'s writer and appended through the shared
+//! [`xylem::durable::Journal`], fsync'd in batches. The format is
 //! designed for the failure mode it will actually see — a sweep process
 //! killed mid-write:
 //!
@@ -9,7 +10,7 @@
 //!   against a journal written by a different spec fails with
 //!   [`SweepError::SpecMismatch`] instead of silently mixing grids;
 //! * a **torn tail** (partial final line from a kill mid-`write`) is
-//!   detected on scan and truncated away before appending resumes, so
+//!   ignored on scan and truncated away before appending resumes, so
 //!   the file never accumulates mid-stream garbage;
 //! * corruption anywhere *before* the tail is not survivable-by-design
 //!   and reports [`SweepError::Corrupt`] — never a panic, never partial
@@ -17,11 +18,10 @@
 //! * duplicate records for one task id are tolerated (keep-first) and
 //!   counted, so replay logic upstream can assert there were none.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::{Mutex, MutexGuard};
 
+use xylem::durable::{self, Scan};
 use xylem::SweepError;
 use xylem_obs::json::{self, Value};
 
@@ -199,8 +199,6 @@ pub struct JournalScan {
     pub duplicates: usize,
     /// Bytes of torn tail dropped (0 for a cleanly-closed journal).
     pub torn_tail_bytes: u64,
-    /// Length of the valid prefix, bytes (the resume truncation point).
-    pub valid_len: u64,
 }
 
 fn io_err(path: &Path, source: std::io::Error) -> SweepError {
@@ -216,29 +214,10 @@ fn corrupt(reason: impl Into<String>) -> SweepError {
     }
 }
 
-struct Inner {
-    writer: BufWriter<File>,
-    pending: usize,
-}
-
-impl std::fmt::Debug for Inner {
-    // `.finish()` rather than the non-exhaustive form: the elided
-    // writer field is implementation detail, and the spelled-out name
-    // of the non-exhaustive finisher reads as a degradation marker to
-    // the obs-coverage audit.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Inner")
-            .field("pending", &self.pending)
-            .finish()
-    }
-}
-
-/// An open, append-only sweep journal.
+/// An open, append-only sweep journal, shared by the sweep workers.
 #[derive(Debug)]
 pub struct Journal {
-    inner: Mutex<Inner>,
-    path: PathBuf,
-    fsync_every: usize,
+    inner: Mutex<durable::Journal>,
 }
 
 impl Journal {
@@ -254,26 +233,26 @@ impl Journal {
         n_tasks: usize,
         fsync_every: usize,
     ) -> Result<Journal, SweepError> {
-        let file = File::create(path).map_err(|e| io_err(path, e))?;
         let header = Value::Object(vec![
             ("ev".into(), Value::Str("sweep_header".into())),
             ("version".into(), Value::U64(JOURNAL_VERSION)),
             ("spec_hash".into(), Value::Str(spec_hash.into())),
             ("n_tasks".into(), Value::U64(n_tasks as u64)),
         ]);
-        let mut writer = BufWriter::new(file);
-        writeln!(writer, "{header}").map_err(|e| io_err(path, e))?;
-        writer.flush().map_err(|e| io_err(path, e))?;
-        writer.get_ref().sync_data().map_err(|e| io_err(path, e))?;
+        let mut inner =
+            durable::Journal::create(path, fsync_every.max(1)).map_err(|e| io_err(path, e))?;
+        inner
+            .append(&header.to_string())
+            .and_then(|()| inner.sync())
+            .map_err(|e| io_err(path, e))?;
         Ok(Journal {
-            inner: Mutex::new(Inner { writer, pending: 0 }),
-            path: path.to_path_buf(),
-            fsync_every: fsync_every.max(1),
+            inner: Mutex::new(inner),
         })
     }
 
     /// Scans an existing journal, truncates any torn tail, and reopens
     /// it for appending. Returns the journal plus the replayed records.
+    /// A journal that fails validation is left untouched.
     ///
     /// # Errors
     ///
@@ -286,34 +265,13 @@ impl Journal {
         n_tasks: usize,
         fsync_every: usize,
     ) -> Result<(Journal, JournalScan), SweepError> {
-        let scan = Journal::scan(path, Some(spec_hash), n_tasks)?;
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(path)
-            .map_err(|e| io_err(path, e))?;
-        if scan.torn_tail_bytes > 0 {
-            // Drop the torn tail before appending so the file never
-            // carries mid-stream garbage.
-            file.set_len(scan.valid_len).map_err(|e| io_err(path, e))?;
-            file.sync_data().map_err(|e| io_err(path, e))?;
-            if xylem_obs::enabled() {
-                xylem_obs::event("sweep_journal_torn_tail")
-                    .u64("dropped_bytes", scan.torn_tail_bytes)
-                    .str("path", &path.display().to_string())
-                    .emit();
-            }
-        }
-        file.seek(SeekFrom::Start(scan.valid_len))
+        let raw = Scan::read(path).map_err(|e| io_err(path, e))?;
+        let scan = replay(&raw, Some(spec_hash), n_tasks)?;
+        let inner = durable::Journal::resume(path, &raw, fsync_every.max(1))
             .map_err(|e| io_err(path, e))?;
         Ok((
             Journal {
-                inner: Mutex::new(Inner {
-                    writer: BufWriter::new(file),
-                    pending: 0,
-                }),
-                path: path.to_path_buf(),
-                fsync_every: fsync_every.max(1),
+                inner: Mutex::new(inner),
             },
             scan,
         ))
@@ -331,71 +289,16 @@ impl Journal {
         expected_spec_hash: Option<&str>,
         n_tasks: usize,
     ) -> Result<JournalScan, SweepError> {
-        let bytes = std::fs::read(path).map_err(|e| io_err(path, e))?;
-        let mut records: Vec<TaskRecord> = Vec::new();
-        let mut seen_ids: Vec<bool> = vec![false; n_tasks];
-        let mut duplicates = 0usize;
-        let mut saw_header = false;
-        let mut valid_len = 0u64;
-
-        // Split on '\n'. Only newline-terminated lines are trusted: the
-        // writer emits each record and its newline in one write, so an
-        // unterminated final fragment — even one that happens to parse —
-        // is a torn tail from a kill mid-write and is dropped. (Trusting
-        // it would also corrupt the file on resume: the next append
-        // would concatenate onto the unterminated line.)
-        let mut offset = 0usize;
-        let mut line_no = 0usize;
-        while offset < bytes.len() {
-            let rel_end = bytes[offset..].iter().position(|&b| b == b'\n');
-            let Some(r) = rel_end else {
-                if !saw_header {
-                    return Err(corrupt("missing sweep_header line"));
-                }
-                return Ok(JournalScan {
-                    records,
-                    duplicates,
-                    torn_tail_bytes: (bytes.len() as u64) - valid_len,
-                    valid_len,
-                });
-            };
-            let (line, next_offset) = (&bytes[offset..offset + r], offset + r + 1);
-            line_no += 1;
-
-            match parse_line(line, line_no, n_tasks, expected_spec_hash, saw_header)? {
-                ParsedLine::Header => saw_header = true,
-                ParsedLine::Task(rec) => {
-                    let idx = rec.id as usize;
-                    if seen_ids[idx] {
-                        duplicates += 1;
-                    } else {
-                        seen_ids[idx] = true;
-                        records.push(rec);
-                    }
-                }
-                ParsedLine::Ignored => {}
-            }
-            valid_len = next_offset as u64;
-            offset = next_offset;
-        }
-
-        if !saw_header {
-            return Err(corrupt("missing sweep_header line"));
-        }
-        Ok(JournalScan {
-            records,
-            duplicates,
-            torn_tail_bytes: (bytes.len() as u64) - valid_len,
-            valid_len,
-        })
+        let raw = Scan::read(path).map_err(|e| io_err(path, e))?;
+        replay(&raw, expected_spec_hash, n_tasks)
     }
 
-    fn lock(&self) -> MutexGuard<'_, Inner> {
+    fn lock(&self) -> MutexGuard<'_, durable::Journal> {
         self.inner.lock().unwrap_or_else(|poisoned| {
-            // A worker panicked while holding the journal lock. The
-            // buffered writer state is still consistent (writeln! is a
-            // single formatted write), so recover the guard and keep
-            // journaling instead of wedging the whole sweep.
+            // A worker panicked while holding the journal lock. Each
+            // append is a single write of a whole line, so the file is
+            // still consistent: recover the guard and keep journaling
+            // instead of wedging the whole sweep.
             if xylem_obs::enabled() {
                 xylem_obs::event("sweep_journal_lock_recovered").emit();
             }
@@ -410,42 +313,54 @@ impl Journal {
     /// [`SweepError::Io`] on write or sync failures.
     pub fn append(&self, record: &TaskRecord) -> Result<(), SweepError> {
         let mut inner = self.lock();
-        writeln!(inner.writer, "{}", record.to_value()).map_err(|e| io_err(&self.path, e))?;
-        inner.pending += 1;
-        if inner.pending >= self.fsync_every {
-            inner.writer.flush().map_err(|e| io_err(&self.path, e))?;
-            inner
-                .writer
-                .get_ref()
-                .sync_data()
-                .map_err(|e| io_err(&self.path, e))?;
-            inner.pending = 0;
-        }
-        Ok(())
+        let line = record.to_value().to_string();
+        inner.append(&line).map_err(|e| io_err(inner.path(), e))
     }
 
-    /// Flushes and fsyncs any buffered records.
+    /// Fsyncs any records not yet synced.
     ///
     /// # Errors
     ///
-    /// [`SweepError::Io`] on write or sync failures.
+    /// [`SweepError::Io`] on sync failures.
     pub fn sync(&self) -> Result<(), SweepError> {
         let mut inner = self.lock();
-        inner.writer.flush().map_err(|e| io_err(&self.path, e))?;
-        inner
-            .writer
-            .get_ref()
-            .sync_data()
-            .map_err(|e| io_err(&self.path, e))?;
-        inner.pending = 0;
-        Ok(())
+        inner.sync().map_err(|e| io_err(inner.path(), e))
     }
+}
 
-    /// The journal's path.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
+/// Validates the complete lines of `raw` and replays them keep-first.
+fn replay(
+    raw: &Scan,
+    expected_spec_hash: Option<&str>,
+    n_tasks: usize,
+) -> Result<JournalScan, SweepError> {
+    let mut records: Vec<TaskRecord> = Vec::new();
+    let mut seen_ids: Vec<bool> = vec![false; n_tasks];
+    let mut duplicates = 0usize;
+    let mut saw_header = false;
+    for (i, line) in raw.lines().enumerate() {
+        match parse_line(line, i + 1, n_tasks, expected_spec_hash, saw_header)? {
+            ParsedLine::Header => saw_header = true,
+            ParsedLine::Task(rec) => {
+                let idx = rec.id as usize;
+                if seen_ids[idx] {
+                    duplicates += 1;
+                } else {
+                    seen_ids[idx] = true;
+                    records.push(rec);
+                }
+            }
+            ParsedLine::Ignored => {}
+        }
     }
+    if !saw_header {
+        return Err(corrupt("missing sweep_header line"));
+    }
+    Ok(JournalScan {
+        records,
+        duplicates,
+        torn_tail_bytes: raw.torn_tail_bytes(),
+    })
 }
 
 enum ParsedLine {
@@ -530,6 +445,9 @@ fn parse_line(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn tmp(name: &str) -> PathBuf {
@@ -703,6 +621,52 @@ mod tests {
             Journal::scan(&path, None, 2),
             Err(SweepError::Corrupt { .. })
         ));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn on_disk_bytes_are_pinned() {
+        // Written by the parent format; any encoder or framing change
+        // that would strand existing journals fails here.
+        let path = tmp("pinned");
+        let journal = Journal::create(&path, "5eed0123abcd4567", 3, 1).expect("create");
+        journal
+            .append(&TaskRecord {
+                id: 1,
+                key: "banke/Cholesky/f2.4/zo\u{eb}".into(),
+                status: TaskStatus::Ok,
+                attempts: 2,
+                result: Some(TaskResult {
+                    proc_hotspot_c: 0.1 + 0.2,
+                    dram_hotspot_c: 77.25,
+                    total_power_w: 24.0,
+                    exec_time_s: 1.5e-3,
+                    core_hotspot_c: [80.5, 79.0, 78.0, 77.0, 76.0, 75.0, 74.0, 1.0 / 3.0],
+                    dtm_f_ghz: Some(3.1),
+                }),
+                error: None,
+            })
+            .expect("append");
+        journal
+            .append(&TaskRecord {
+                id: 2,
+                key: "base/FFT/f2.4".into(),
+                status: TaskStatus::Quarantined,
+                attempts: 3,
+                result: None,
+                error: Some("solver diverged: \"bad\"\tna\u{ef}ve".into()),
+            })
+            .expect("append");
+        drop(journal);
+        let expected = concat!(
+            r#"{"ev":"sweep_header","version":1,"spec_hash":"5eed0123abcd4567","n_tasks":3}"#,
+            "\n",
+            r#"{"ev":"sweep_task","id":1,"key":"banke/Cholesky/f2.4/zoë","status":"ok","attempts":2,"result":{"proc_hotspot_c":0.30000000000000004,"dram_hotspot_c":77.25,"total_power_w":24.0,"exec_time_s":0.0015,"core_hotspot_c":[80.5,79.0,78.0,77.0,76.0,75.0,74.0,0.3333333333333333],"dtm_f_ghz":3.1},"error":null}"#,
+            "\n",
+            r#"{"ev":"sweep_task","id":2,"key":"base/FFT/f2.4","status":"quarantined","attempts":3,"result":null,"error":"solver diverged: \"bad\"\tnaïve"}"#,
+            "\n",
+        );
+        assert_eq!(std::fs::read_to_string(&path).expect("read"), expected);
         std::fs::remove_file(&path).ok();
     }
 }

@@ -37,7 +37,7 @@ pub mod journal;
 pub mod scenario_sweep;
 pub mod spec;
 
-pub use backoff::{splitmix64, BackoffPolicy};
+pub use backoff::BackoffPolicy;
 pub use engine::{run_sweep, ChaosConfig, SweepOptions, SweepReport};
 pub use journal::{Journal, JournalScan, TaskRecord, TaskResult, TaskStatus};
 pub use scenario_sweep::{

@@ -11,13 +11,12 @@
 
 use std::path::Path;
 
-use xylem::checkpoint::{config_hash, fnv1a};
+use xylem::checkpoint::config_hash;
 use xylem::{ConfigError, SystemConfig, XylemError};
+use xylem_obs::hash::{fnv1a, splitmix64};
 use xylem_stack::XylemScheme;
 use xylem_thermal::grid::GridSpec;
 use xylem_workloads::Benchmark;
-
-use crate::backoff::splitmix64;
 
 /// One fully-resolved point of the design space: everything needed to
 /// build a stack and evaluate one workload on it.

@@ -15,6 +15,7 @@
 //! * every rejection, hold, and budget exhaustion is visible in the
 //!   JSONL metrics stream and the global counters.
 
+use xylem_obs::hash::splitmix64;
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::layer::Layer;
 use xylem_thermal::material::{D2D_AVERAGE, SILICON};
@@ -42,15 +43,8 @@ fn small_model() -> ThermalModel {
     stack.discretize(GridSpec::new(6, 6)).unwrap()
 }
 
-/// Deterministic per-seed parameter derivation (splitmix64 step), so a
-/// failing scenario reproduces from its seed alone.
-fn mix(seed: u64) -> u64 {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
+/// Per-seed options derived by splitmix64, so a failing scenario
+/// reproduces from its seed alone.
 fn opts_for(seed: u64) -> AdaptiveOptions {
     AdaptiveOptions {
         rtol: 1e-3,
@@ -58,10 +52,10 @@ fn opts_for(seed: u64) -> AdaptiveOptions {
         dt_min: 1e-4,
         dt_max: 1e-2,
         dt_init: 1e-3,
-        max_reject_streak: 2 + (mix(seed) % 3) as u32,
+        max_reject_streak: 2 + (splitmix64(seed) % 3) as u32,
         // A third of the scenarios run under a CG budget tight enough
         // to trip economy mode mid-run.
-        max_cg_iterations: (seed % 3 == 2).then_some(40 + mix(seed.wrapping_add(1)) % 40),
+        max_cg_iterations: (seed % 3 == 2).then_some(40 + splitmix64(seed.wrapping_add(1)) % 40),
         ..AdaptiveOptions::default()
     }
 }
@@ -83,8 +77,8 @@ fn fifty_divergence_scenarios_degrade_without_panicking() {
         let mut ctrl = AdaptiveController::new(opts_for(seed)).unwrap();
         let mut ws = SolverWorkspace::new();
 
-        let ix = (mix(seed) % 6) as usize;
-        let iy = (mix(seed.wrapping_add(2)) % 6) as usize;
+        let ix = (splitmix64(seed) % 6) as usize;
+        let iy = (splitmix64(seed.wrapping_add(2)) % 6) as usize;
         match seed % 3 {
             0 => {
                 // Overflow power spike: 1e200 W drives the CG inner
