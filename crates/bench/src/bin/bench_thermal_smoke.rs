@@ -4,7 +4,7 @@
 //! Measures, per grid size, the steady-state solve through the model's
 //! default pick (matrix-free stencil + GMG on large grids, CSR+AMG on
 //! small ones); a preconditioner head-to-head (setup / apply / full solve, AMG vs
-//! GMG) at 64x64 and 128x128; a stencil-vs-CSR matvec microbench; the
+//! GMG) at every grid; a stencil-vs-CSR matvec microbench; the
 //! warm- vs cold-started CG cost of one DTM control-period step; and
 //! adaptive-vs-fixed stepping at matched accuracy. The checked-in JSON
 //! is the reference record of the solver-core speedups; regenerate it
@@ -186,11 +186,8 @@ fn main() {
             solver_iters: default_field.stats().iterations,
         });
 
-        // Preconditioner head-to-head and the matvec microbench on the
-        // grids where the geometric hierarchy is the default pick.
-        if grid < 64 {
-            continue;
-        }
+        // Preconditioner head-to-head on every grid, on both sides of
+        // the default pick's AMG/GMG switch.
         let n_layers = 3 + model.n_user_layers();
         let x = default_field.raw().to_vec();
         let mut r = vec![0.0; x.len()];
@@ -231,6 +228,10 @@ fn main() {
             });
         }
 
+        // The matvec microbench on the large grids.
+        if grid < 64 {
+            continue;
+        }
         let stencil = model.stencil().expect("paper stacks are structured");
         let mut y = vec![0.0; x.len()];
         let mv_reps = if grid == 128 { 20 } else { 50 };
@@ -483,7 +484,7 @@ fn main() {
         description: "Solver smoke numbers: steady state through the model's default \
                       pick (matrix-free stencil + geometric multigrid at 32x32 and up, \
                       CSR+AMG below), the AMG-vs-GMG preconditioner head-to-head \
-                      (setup/apply/solve at 64x64 and 128x128), the stencil-vs-CSR \
+                      (setup/apply/solve at every grid), the stencil-vs-CSR \
                       matvec microbench, warm- vs cold-started DTM \
                       steps, adaptive- vs fixed-stepping at matched accuracy on the \
                       dtm_longrun workload, sweep-engine throughput with a chaos \

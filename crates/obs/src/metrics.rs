@@ -85,6 +85,9 @@ metric_enum!(
         ScenarioLowered => "scenario_lowered",
         /// `.stk` sources rejected by the lexer, parser, or validator.
         ScenarioRejected => "scenario_rejected",
+        /// Preconditioners built (steady, transient-operator and
+        /// fallback-rung setups): the solver setup a run paid for.
+        PreconditionerBuilds => "preconditioner_builds",
         /// Transient-operator cache lookups that reused a cached factor.
         TransientCacheHits => "transient_cache_hits",
         /// Transient-operator cache lookups that built a new factor.

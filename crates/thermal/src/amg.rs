@@ -5,7 +5,7 @@
 //! 1. pre-smooth with damped Jacobi (from a zero initial guess, so the
 //!    smoother reduces to `z = omega * D^-1 r`),
 //! 2. restrict the residual onto pairwise aggregates and recurse,
-//! 3. solve the coarsest level exactly with a dense Cholesky factor,
+//! 3. solve the coarsest level exactly with an envelope Cholesky factor,
 //! 4. prolong the coarse correction back (with a fixed over-correction
 //!    factor, which for piecewise-constant aggregation amounts to the
 //!    usual "smoothed aggregation lite" scaling and preserves symmetric
@@ -18,6 +18,11 @@
 //! Galerkin products `A_c = P^T A P`; with piecewise-constant 0/1
 //! prolongation these are computed in a single pass over the fine
 //! matrix by summing entries per aggregate pair.
+//!
+//! The coarsest level's Cholesky factor (`EnvelopeChol`, shared with
+//! [`crate::gmg`]) is stored and applied over each row's envelope only,
+//! from its first stored entry to the diagonal, which skips the zero
+//! fill a dense factor carries without changing a bit of the result.
 //!
 //! The cycle is symmetric (identical pre/post smoothing, symmetric
 //! coarse solves), so it is a valid preconditioner for conjugate
@@ -42,7 +47,7 @@ const SMOOTH_OMEGA: f64 = 0.9;
 const OVER_CORRECTION: f64 = 1.2;
 
 /// Stop coarsening once a level has at most this many nodes and solve
-/// it with a dense Cholesky factorization instead.
+/// it with an envelope Cholesky factorization instead.
 const COARSE_MAX: usize = 200;
 
 /// Hard cap on hierarchy depth (also the bail-out when pairwise
@@ -51,62 +56,113 @@ const MAX_LEVELS: usize = 25;
 
 /// Minimum per-level shrink factor; if a coarsening round does worse
 /// than this the hierarchy stops growing and the current level becomes
-/// the (dense-solved) coarsest one.
+/// the (directly solved) coarsest one.
 const MIN_SHRINK: f64 = 0.9;
 
-/// Dense Cholesky factorization of the coarsest-level operator.
-/// Shared with the geometric hierarchy in [`crate::gmg`].
+/// Envelope (profile) Cholesky factorization of the coarsest-level
+/// operator. Shared with the geometric hierarchy in [`crate::gmg`].
+///
+/// Row `i` of `L` is stored only over columns `first[i]..=i`, where
+/// `first[i]` is the row's first stored entry in the lower triangle:
+/// Cholesky fill never reaches left of it, so every entry outside the
+/// envelope is an exact zero of the full factor. The factorization and
+/// both triangular solves are the dense left-looking loops with those
+/// `0 * x` terms skipped and every other term kept in the same order,
+/// so for finite inputs the factor and each solve are bit-identical to
+/// the dense algorithm (the test oracle below) at a fraction of its
+/// cost: the coarse operators are banded, plus an arrow of package
+/// tail rows on the geometric hierarchy.
 #[derive(Debug, Clone)]
-pub(crate) struct DenseChol {
-    n: usize,
-    /// Lower-triangular factor, row-major, full `n x n` storage.
+pub(crate) struct EnvelopeChol {
+    /// First column of each row's envelope.
+    first: Vec<usize>,
+    /// Row `i` of `L` is `l[start[i]..start[i + 1]]`, diagonal last.
+    start: Vec<usize>,
     l: Vec<f64>,
+    /// `below[j]`: the envelope rows under column `j`'s diagonal (rows
+    /// `k > j` with `first[k] <= j`), ascending, the order the back
+    /// solve walks them in.
+    below: Vec<Vec<u32>>,
 }
 
-impl DenseChol {
+impl EnvelopeChol {
     pub(crate) fn factor(a: &CsrMatrix) -> Self {
         let n = a.n();
-        let mut m = vec![0.0f64; n * n];
+        let first: Vec<usize> = (0..n)
+            .map(|i| a.row(i).0.iter().map(|&j| j as usize).fold(i, usize::min))
+            .collect();
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for (i, &f) in first.iter().enumerate() {
+            start.push(start[i] + i + 1 - f);
+        }
+        let mut l = vec![0.0f64; start[n]];
         for i in 0..n {
             let (cols, vals) = a.row(i);
             for (&j, &v) in cols.iter().zip(vals) {
-                m[i * n + j as usize] = v;
+                let j = j as usize;
+                if j <= i {
+                    l[start[i] + j - first[i]] = v;
+                }
             }
         }
-        // In-place left-looking Cholesky on the lower triangle.
+        // In-place left-looking Cholesky, row by row; `k` runs only
+        // where both rows are inside their envelopes.
         for i in 0..n {
-            for j in 0..=i {
-                let mut sum = m[i * n + j];
-                for k in 0..j {
-                    sum -= m[i * n + k] * m[j * n + k];
-                }
-                if i == j {
-                    m[i * n + j] = sum.max(f64::MIN_POSITIVE).sqrt();
+            let fi = first[i];
+            let (done, rest) = l.split_at_mut(start[i]);
+            let row = &mut rest[..i + 1 - fi];
+            for j in fi..=i {
+                let k0 = fi.max(first[j]);
+                let mut sum = row[j - fi];
+                let li = &row[k0 - fi..j - fi];
+                let lj = if j == i {
+                    li
                 } else {
-                    m[i * n + j] = sum / m[j * n + j];
+                    &done[start[j] + k0 - first[j]..start[j] + j - first[j]]
+                };
+                for (lik, ljk) in li.iter().zip(lj) {
+                    sum -= lik * ljk;
                 }
+                row[j - fi] = if j == i {
+                    sum.max(f64::MIN_POSITIVE).sqrt()
+                } else {
+                    sum / done[start[j + 1] - 1]
+                };
             }
         }
-        DenseChol { n, l: m }
+        let mut below = vec![Vec::new(); n];
+        for (k, &f) in first.iter().enumerate() {
+            for col in &mut below[f..k] {
+                col.push(k as u32);
+            }
+        }
+        EnvelopeChol {
+            first,
+            start,
+            l,
+            below,
+        }
     }
 
     /// Solves `L L^T x = b` in place.
     pub(crate) fn solve(&self, x: &mut [f64]) {
-        let n = self.n;
+        let n = self.first.len();
         for i in 0..n {
-            let row = &self.l[i * n..i * n + i];
+            let (off, diag) = self.l[self.start[i]..self.start[i + 1]].split_at(i - self.first[i]);
             let mut sum = x[i];
-            for (lik, xk) in row.iter().zip(&*x) {
+            for (lik, xk) in off.iter().zip(&x[self.first[i]..i]) {
                 sum -= lik * xk;
             }
-            x[i] = sum / self.l[i * n + i];
+            x[i] = sum / diag[0];
         }
         for i in (0..n).rev() {
             let mut sum = x[i];
-            for (k, xk) in x.iter().enumerate().take(n).skip(i + 1) {
-                sum -= self.l[k * n + i] * xk;
+            for &k in &self.below[i] {
+                let k = k as usize;
+                sum -= self.l[self.start[k] + i - self.first[k]] * x[k];
             }
-            x[i] = sum / self.l[i * n + i];
+            x[i] = sum / self.l[self.start[i + 1] - 1];
         }
     }
 }
@@ -139,10 +195,14 @@ struct Scratch {
 #[derive(Debug)]
 pub struct AmgHierarchy {
     levels: Vec<AmgLevel>,
-    coarse: DenseChol,
+    coarse: EnvelopeChol,
     /// Scratch is interior-mutable so `apply` can take `&self` like
-    /// the other preconditioners; the solver never applies a
-    /// preconditioner concurrently with itself.
+    /// the other preconditioners. One solve applies the hierarchy
+    /// serially, but a model shared across threads is applied
+    /// concurrently: serve shares one `ThermalModel`, and its cached
+    /// transient operators, across the sessions of one source, so two
+    /// workers stepping such sessions serialize on this lock for every
+    /// V-cycle.
     scratch: Mutex<Scratch>,
 }
 
@@ -243,7 +303,7 @@ impl AmgHierarchy {
                 coarse_a,
             });
         }
-        let coarse = DenseChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
+        let coarse = EnvelopeChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
         AmgHierarchy {
             levels,
             coarse,
@@ -322,7 +382,7 @@ impl AmgHierarchy {
         s.sol[lvl] = sol;
     }
 
-    /// Number of levels including the dense-solved coarsest one.
+    /// Number of levels including the directly solved coarsest one.
     #[must_use]
     pub fn num_levels(&self) -> usize {
         self.levels.len() + 1
@@ -349,16 +409,147 @@ mod tests {
         CsrMatrix::from_adjacency(&adjacency, &diagonal)
     }
 
+    /// The dense left-looking Cholesky the envelope factor replaced,
+    /// kept as its bitwise oracle: full `n x n` storage, every `k`.
+    struct DenseChol {
+        n: usize,
+        l: Vec<f64>,
+    }
+
+    impl DenseChol {
+        fn factor(a: &CsrMatrix) -> Self {
+            let n = a.n();
+            let mut m = vec![0.0f64; n * n];
+            for i in 0..n {
+                let (cols, vals) = a.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    m[i * n + j as usize] = v;
+                }
+            }
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = m[i * n + j];
+                    for k in 0..j {
+                        sum -= m[i * n + k] * m[j * n + k];
+                    }
+                    if i == j {
+                        m[i * n + j] = sum.max(f64::MIN_POSITIVE).sqrt();
+                    } else {
+                        m[i * n + j] = sum / m[j * n + j];
+                    }
+                }
+            }
+            DenseChol { n, l: m }
+        }
+
+        fn solve(&self, x: &mut [f64]) {
+            let n = self.n;
+            for i in 0..n {
+                let row = &self.l[i * n..i * n + i];
+                let mut sum = x[i];
+                for (lik, xk) in row.iter().zip(&*x) {
+                    sum -= lik * xk;
+                }
+                x[i] = sum / self.l[i * n + i];
+            }
+            for i in (0..n).rev() {
+                let mut sum = x[i];
+                for (k, xk) in x.iter().enumerate().take(n).skip(i + 1) {
+                    sum -= self.l[k * n + i] * xk;
+                }
+                x[i] = sum / self.l[i * n + i];
+            }
+        }
+    }
+
+    /// Coarsest GMG operator of a small paper-like stack: banded
+    /// z-stacked planes plus the package tail rows (an arrow).
+    fn gmg_coarsest_with_tail_rows() -> CsrMatrix {
+        use crate::grid::GridSpec;
+        use crate::layer::Layer;
+        use crate::material::{D2D_AVERAGE, SILICON};
+        use crate::package::Package;
+        use crate::stack::Stack;
+        let die = 8e-3;
+        let stack = Stack::builder(die, die)
+            .package(Package::default_for_die(die, die))
+            .layer(Layer::uniform("si", 100e-6, SILICON.clone()))
+            .layer(Layer::uniform("d2d", 20e-6, D2D_AVERAGE.clone()))
+            .layer(Layer::uniform("proc", 100e-6, SILICON.clone()))
+            .build()
+            .unwrap();
+        let model = stack.discretize(GridSpec::new(16, 16)).unwrap();
+        let h = crate::gmg::GmgHierarchy::build(model.csr(), 16, 16, 6).unwrap();
+        let coarsest = h.coarsest_operator().clone();
+        assert!(coarsest.n() > 6 * 16, "coarsest level keeps the tail rows");
+        coarsest
+    }
+
+    /// Coarsest AMG operator of a 2-D grid: aggregate numbering
+    /// scatters each row's first entry (an irregular envelope).
+    fn amg_coarsest_of_a_2d_grid() -> CsrMatrix {
+        let side = 32;
+        let n = side * side;
+        let mut adjacency: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        for y in 0..side {
+            for x in 0..side {
+                let i = y * side + x;
+                if x + 1 < side {
+                    adjacency[i].push((i as u32 + 1, 1.0 + 0.01 * y as f64));
+                    adjacency[i + 1].push((i as u32, 1.0 + 0.01 * y as f64));
+                }
+                if y + 1 < side {
+                    adjacency[i].push(((i + side) as u32, 2.5));
+                    adjacency[i + side].push((i as u32, 2.5));
+                }
+            }
+        }
+        let diagonal: Vec<f64> = adjacency
+            .iter()
+            .map(|row| 0.05 + row.iter().map(|&(_, g)| g).sum::<f64>())
+            .collect();
+        let a = CsrMatrix::from_adjacency(&adjacency, &diagonal);
+        let h = AmgHierarchy::build(&a);
+        assert!(h.num_levels() > 1);
+        h.levels.last().unwrap().coarse_a.clone()
+    }
+
     #[test]
     fn dense_cholesky_solves_exactly() {
-        let a = tridiag(12);
-        let chol = DenseChol::factor(&a);
-        let x_true: Vec<f64> = (0..12).map(|i| (i as f64).sin() + 2.0).collect();
-        let mut b = vec![0.0; 12];
-        a.matvec_serial(&x_true, &mut b);
-        chol.solve(&mut b);
-        for (got, want) in b.iter().zip(&x_true) {
-            assert!((got - want).abs() < 1e-10);
+        for a in [
+            tridiag(12),
+            gmg_coarsest_with_tail_rows(),
+            amg_coarsest_of_a_2d_grid(),
+        ] {
+            let n = a.n();
+            let chol = EnvelopeChol::factor(&a);
+            let dense = DenseChol::factor(&a);
+            // The factor matches the dense one bit for bit, and
+            // everything left of the envelope is an exact +0.
+            for i in 0..n {
+                for j in 0..=i {
+                    let want = dense.l[i * n + j].to_bits();
+                    let got = if j < chol.first[i] {
+                        0.0f64.to_bits()
+                    } else {
+                        chol.l[chol.start[i] + j - chol.first[i]].to_bits()
+                    };
+                    assert_eq!(got, want, "n={n}: L[{i}][{j}]");
+                }
+            }
+            let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 2.0).collect();
+            let mut b = vec![0.0; n];
+            a.matvec_serial(&x_true, &mut b);
+            let mut x = b.clone();
+            chol.solve(&mut x);
+            let mut x_dense = b.clone();
+            dense.solve(&mut x_dense);
+            for (got, want) in x.iter().zip(&x_dense) {
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n}: solve differs");
+            }
+            for (got, want) in x.iter().zip(&x_true) {
+                assert!((got - want).abs() < 1e-8, "n={n}: {got} vs {want}");
+            }
         }
     }
 

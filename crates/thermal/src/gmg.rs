@@ -26,20 +26,26 @@
 //!   operations (no cross-node reductions, so thread count can never
 //!   reorder a sum).
 //! * **The cycle is a symmetric V(1,1)** — identical pre/post smoothing
-//!   around an over-corrected coarse-grid correction, dense Cholesky on
-//!   the coarsest level — so `M^-1` is symmetric positive definite and
-//!   valid for conjugate gradients, exactly like the AMG cycle it
-//!   plugs in beside (see [`crate::solve`]).
+//!   around an over-corrected coarse-grid correction, an exact Cholesky
+//!   solve on the coarsest level — so `M^-1` is symmetric positive
+//!   definite and valid for conjugate gradients, exactly like the AMG
+//!   cycle it plugs in beside (see [`crate::solve`]).
+//! * **The coarsest level is factored over its envelope only**
+//!   ([`crate::amg`]'s envelope Cholesky). In plane-major order that
+//!   level is a band as wide as one plane, plus an arrow of package tail
+//!   rows, so factor and solves skip the zero fill a dense `n x n`
+//!   factor would carry, with bit-identical results.
 //!
 //! Compared to AMG on the same matrix the setup does no matching, no
 //! triple products beyond one summed pass per level, and the z-line
 //! factorization is O(n); apply trades the point-Jacobi sweeps for
-//! tridiagonal solves at the same memory traffic. The win criterion
-//! (BENCH_thermal.json) is setup+apply beating AMG at 64x64 and up.
+//! tridiagonal solves at the same memory traffic. `BENCH_thermal.json`
+//! records the setup, apply and iteration head-to-head against AMG at
+//! every grid from 16x16 to 128x128.
 
 use std::sync::Mutex;
 
-use crate::amg::{galerkin, DenseChol};
+use crate::amg::{galerkin, EnvelopeChol};
 use crate::csr::CsrMatrix;
 
 /// Damping for the z-line block-Jacobi smoother. Block smoothers
@@ -53,7 +59,8 @@ const SMOOTH_OMEGA: f64 = 0.9;
 const OVER_CORRECTION: f64 = 1.2;
 
 /// Stop coarsening once a level has at most this many in-plane cells;
-/// the remaining `nl * cells + tails` system goes to dense Cholesky.
+/// the remaining `nl * cells + tails` system goes to the envelope
+/// Cholesky.
 const COARSE_CELLS_MAX: usize = 16;
 
 /// Hard cap on hierarchy depth.
@@ -105,10 +112,13 @@ pub struct GmgHierarchy {
     /// Number of z-layers, constant across levels.
     nl: usize,
     levels: Vec<GmgLevel>,
-    coarse: DenseChol,
+    coarse: EnvelopeChol,
     /// Interior-mutable so `apply` can take `&self` like the other
-    /// preconditioners; the solver never applies one concurrently with
-    /// itself.
+    /// preconditioners. One solve applies the hierarchy serially, but a
+    /// model shared across threads is applied concurrently: serve shares
+    /// one `ThermalModel`, and its cached transient operators, across
+    /// the sessions of one source, so two workers stepping such sessions
+    /// serialize on this lock for every V-cycle.
     scratch: Mutex<Scratch>,
 }
 
@@ -254,7 +264,7 @@ impl GmgHierarchy {
             lnx = cnx;
             lny = cny;
         }
-        let coarse = DenseChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
+        let coarse = EnvelopeChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
         Some(GmgHierarchy {
             nl,
             levels,
@@ -348,14 +358,25 @@ impl GmgHierarchy {
         s.sol[lvl] = sol;
     }
 
-    /// Number of levels including the dense-solved coarsest one.
+    /// Number of levels including the directly solved coarsest one.
     #[must_use]
     pub fn num_levels(&self) -> usize {
         self.levels.len() + 1
     }
 
+    /// The operator the coarsest level factors, for a hierarchy that
+    /// coarsened at least once.
+    #[cfg(test)]
+    pub(crate) fn coarsest_operator(&self) -> &CsrMatrix {
+        &self
+            .levels
+            .last()
+            .expect("hierarchy has coarsened")
+            .coarse_a
+    }
+
     /// In-plane dimensions `(nx, ny)` of the finest coarsened level, or
-    /// `None` when the whole system went straight to the dense solve.
+    /// `None` when the whole system went straight to the direct solve.
     #[must_use]
     pub fn fine_dims(&self) -> Option<(usize, usize)> {
         self.levels.first().map(|l| (l.nx, l.ny))

@@ -19,7 +19,7 @@
 //! a node: convection enters the diagonal and the right-hand side, which
 //! keeps the system symmetric positive definite.
 
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use xylem_obs::{Counter, Gauge};
 
@@ -64,8 +64,11 @@ pub struct ThermalModel {
     /// the node graph matches the 7-point layout. Grids built here always
     /// do; `None` guards future irregular topologies.
     stencil: Option<StencilOperator>,
-    /// Preconditioner built for `csr` per the current solver options.
-    prec: Preconditioner,
+    /// Steady-state preconditioner for `csr` per the current solver
+    /// options, built by the first steady solve: transient-only users
+    /// (DTM loops, serve sessions) never pay for it. A clone taken after
+    /// that solve copies the built preconditioner.
+    prec: OnceLock<Preconditioner>,
     /// Cached backward-Euler operator `G + C/dt` (+ its preconditioner),
     /// rebuilt only when `dt` or the preconditioner kind changes.
     transient_cache: TransientCache,
@@ -90,10 +93,13 @@ struct TransientOp {
 }
 
 /// Grid size (cells per layer) from which a freshly built model defaults
-/// to the geometric multigrid preconditioner. Below this the AMG setup
-/// is cheap enough that the geometric hierarchy has nothing to win back;
-/// at and above it GMG's fixed, shallow in-plane coarsening beats AMG's
-/// pairwise aggregation on both setup and apply.
+/// to the geometric multigrid preconditioner; smaller grids keep AMG.
+/// The threshold was set when GMG factored its coarsest level densely
+/// and lost on setup at small power-of-two grids. With the envelope
+/// factor, `BENCH_thermal.json`'s head-to-head rows show GMG ahead on
+/// setup, apply and iterations at 16x16 too; dropping the threshold is
+/// a change of its own, since it moves every small-grid result within
+/// the solver tolerance.
 const GMG_MIN_CELLS: usize = 1024;
 
 /// Builds the preconditioner for `kind` over `a`, supplying the grid
@@ -107,6 +113,7 @@ fn build_prec_for(
     n_layers: usize,
     kind: PreconditionerKind,
 ) -> Preconditioner {
+    xylem_obs::incr(Counter::PreconditionerBuilds);
     if kind == PreconditionerKind::Gmg {
         if let Some(p) = Preconditioner::build_gmg(a, grid.nx(), grid.ny(), n_layers) {
             return p;
@@ -361,11 +368,11 @@ impl ThermalModel {
         }
 
         // Lower the node graph into flat CSR (the one stored operator; the
-        // adjacency list is dropped here), extract the structured stencil
-        // view, and build the steady-state preconditioner once; every
-        // solve afterwards reuses all three. Large grids default to the
-        // geometric multigrid preconditioner, which needs the stencil
-        // geometry; small ones keep AMG (see [`GMG_MIN_CELLS`]).
+        // adjacency list is dropped here) and extract the structured
+        // stencil view; every solve afterwards reuses both. Large grids
+        // default to the geometric multigrid preconditioner, which needs
+        // the stencil geometry; small ones keep AMG (see
+        // [`GMG_MIN_CELLS`]).
         let csr = CsrMatrix::from_adjacency(&neighbors, &diagonal);
         drop(neighbors);
         let stencil = StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers);
@@ -378,7 +385,6 @@ impl ThermalModel {
             preconditioner,
             ..SolverOptions::default()
         };
-        let prec = build_prec_for(&csr, grid, n_solver_layers, solver_options.preconditioner);
 
         Ok(ThermalModel {
             grid,
@@ -390,7 +396,7 @@ impl ThermalModel {
             capacitance,
             csr,
             stencil,
-            prec,
+            prec: OnceLock::new(),
             transient_cache: TransientCache::default(),
             ambient: pkg.ambient(),
             block_weights,
@@ -490,16 +496,12 @@ impl ThermalModel {
     }
 
     /// Replaces the solver options used by [`ThermalModel::steady_state`]
-    /// and the transient integrator. Rebuilds the preconditioner if the
-    /// kind changed and drops the cached transient operator.
+    /// and the transient integrator. If the preconditioner kind changed,
+    /// drops the steady preconditioner (the next steady solve builds the
+    /// new kind) and the cached transient operators.
     pub fn set_solver_options(&mut self, options: SolverOptions) {
         if options.preconditioner != self.solver_options.preconditioner {
-            self.prec = build_prec_for(
-                &self.csr,
-                self.grid,
-                3 + self.n_user_layers,
-                options.preconditioner,
-            );
+            self.prec = OnceLock::new();
             self.transient_cache = TransientCache::default();
         }
         self.solver_options = options;
@@ -606,9 +608,17 @@ impl ThermalModel {
                 None => vec![self.ambient; n],
             };
             let mut recovery = RecoveryReport::default();
+            let prec = self.prec.get_or_init(|| {
+                build_prec_for(
+                    &self.csr,
+                    self.grid,
+                    3 + self.n_user_layers,
+                    self.solver_options.preconditioner,
+                )
+            });
             let stats = solve_cg_resilient(
                 self.operator(),
-                &self.prec,
+                prec,
                 &rhs,
                 &mut x,
                 ws,

@@ -719,6 +719,7 @@ pub fn solve_cg_resilient(
     let mut recovered_stats = None;
     for &kind in &FALLBACK_LADDER[start..] {
         x.copy_from_slice(&x0);
+        xylem_obs::incr(xylem_obs::Counter::PreconditionerBuilds);
         let rung_prec = Preconditioner::build(op.matrix(), kind);
         let mut rung_iters = 0usize;
         let mut rung_residual = f64::INFINITY;
@@ -966,7 +967,7 @@ mod tests {
         // chain is one cell column of `n` layers, so the geometric
         // hierarchy builds on it too: a starved GMG solve is rescued by
         // AMG, a starved AMG solve by Jacobi. On a single column the GMG
-        // hierarchy is one dense Cholesky level, exact in one iteration,
+        // hierarchy is one direct Cholesky level, exact in one iteration,
         // so only a zero cap starves it.
         let n = 300;
         let a = chain(n, 2.02);

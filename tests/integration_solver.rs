@@ -378,7 +378,7 @@ fn gmg_fine_dims_report_the_first_coarsened_level() {
     assert_eq!(h.fine_dims(), Some((32, 32)));
     let a = stack_matrix(4, 4, 3);
     let h = GmgHierarchy::build(&a, 4, 4, 3).expect("build");
-    assert_eq!(h.fine_dims(), None, "straight to the dense solve");
+    assert_eq!(h.fine_dims(), None, "straight to the direct solve");
 }
 
 #[test]
