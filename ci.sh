@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Workspace CI gate. Run from the repository root:
 #
-#   ./ci.sh          # format check, clippy, xylem-lint audit, duplicate
-#                    # test-registration check, full test suite
+#   ./ci.sh          # format check, clippy, perfbench build, xylem-lint
+#                    # audit, duplicate test-registration check, full
+#                    # test suite
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (default
@@ -161,6 +162,12 @@ cargo fmt --all --check
 # [workspace.lints] clippy::unwrap_used policy is for library code).
 echo "==> cargo clippy (libs + bins, warnings are errors)"
 cargo clippy --workspace --lib --bins -- -D warnings
+
+# perfbench/ is a package of its own outside the workspace, so the
+# workspace build never compiles it; it still calls the library crates'
+# public API, and this step catches an API change that breaks it.
+echo "==> perfbench build (compile-only)"
+cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 echo "==> xylem-lint determinism audit (nine rules, baseline ratchet, stale check)"
 cargo run -q -p xylem-lint

@@ -17,7 +17,7 @@ use xylem::system::{SystemConfig, XylemSystem};
 use xylem_stack::{StackConfig, XylemScheme};
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::power::PowerMap;
-use xylem_thermal::solve::{Preconditioner, PreconditionerKind, SolverOptions};
+use xylem_thermal::solve::{Operator, Preconditioner, PreconditionerKind, SolverOptions};
 use xylem_thermal::temperature::TemperatureField;
 use xylem_thermal::units::Watts;
 use xylem_thermal::{AdaptiveController, AdaptiveOptions, SolverWorkspace, ThermalModel};
@@ -207,7 +207,8 @@ fn main() {
             };
             let prec = build_one();
             let setup_ms = time_ms(if grid == 128 { 2 } else { 5 }, build_one);
-            let apply_ms = time_ms(prec_reps, || prec.apply_timed(model.csr(), &r, &mut z));
+            let op = Operator::with_stencil(model.csr(), model.stencil());
+            let apply_ms = time_ms(prec_reps, || prec.apply_timed(op, &r, &mut z));
             model.set_solver_options(SolverOptions {
                 preconditioner: kind,
                 ..*model.solver_options()
@@ -228,13 +229,17 @@ fn main() {
             });
         }
 
-        // The matvec microbench on the large grids.
-        if grid < 64 {
+        // The matvec microbench from the benchmark's 32x32 grid up.
+        if grid < 32 {
             continue;
         }
         let stencil = model.stencil().expect("paper stacks are structured");
         let mut y = vec![0.0; x.len()];
-        let mv_reps = if grid == 128 { 20 } else { 50 };
+        let mv_reps = match grid {
+            128 => 20,
+            64 => 50,
+            _ => 200,
+        };
         let csr_ms = time_ms(mv_reps, || model.csr().matvec_serial(&x, &mut y));
         let stencil_ms = time_ms(mv_reps, || stencil.matvec_serial(&x, &mut y));
         matvec.push(MatvecRow {

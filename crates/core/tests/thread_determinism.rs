@@ -22,7 +22,7 @@
 //! deterministic parallel reductions.
 
 use std::fmt::Write as _;
-use std::process::Command;
+use std::process::{Command, Stdio};
 
 use xylem::dtm::{dtm_transient_configured, DtmPolicy, DtmRunConfig};
 use xylem::sensor::{FaultKind, SensorFault, SensorModel};
@@ -253,6 +253,10 @@ fn run_pair(test_name: &str, tag: &str) {
             .args([test_name, "--exact", "--test-threads=1"])
             .env(CHILD_ENV, &out)
             .env("RAYON_NUM_THREADS", threads)
+            // Keep the child harness's `test ... ok` lines out of the
+            // parent's stdout, where they would interleave with the
+            // parent's own result lines.
+            .stdout(Stdio::null())
             .status()
             .expect("child spawns");
         assert!(

@@ -10,7 +10,7 @@
 //!   bit-identically on the completed subset.
 
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
 use xylem_stack::XylemScheme;
@@ -90,6 +90,11 @@ fn killed_sweep_resumes_to_full_completion_without_duplicates() {
             "--test-threads=1",
         ])
         .env(KILL_CHILD_ENV, &journal)
+        // The child is killed mid-line; left on the shared stdout, its
+        // half-written `test ... ` line splices into the parent
+        // harness's own result lines.
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
         .spawn()
         .expect("child spawns");
 

@@ -31,7 +31,9 @@
 //! roughly an order of magnitude relative to Jacobi at an apply cost
 //! of a few fine-grid matvecs.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
+
+use xylem_obs::Counter;
 
 use crate::csr::CsrMatrix;
 
@@ -216,6 +218,24 @@ impl Clone for AmgHierarchy {
     }
 }
 
+/// Locks a multigrid hierarchy's V-cycle scratch. An apply that finds
+/// the scratch held by another thread (two sessions stepping one shared
+/// model) counts one [`Counter::PrecScratchWaits`] before it blocks.
+///
+/// # Panics
+///
+/// Panics if the mutex is poisoned (a prior apply panicked mid-cycle).
+pub(crate) fn lock_scratch<T>(scratch: &Mutex<T>) -> MutexGuard<'_, T> {
+    match scratch.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            xylem_obs::incr(Counter::PrecScratchWaits);
+            scratch.lock().expect("multigrid scratch poisoned")
+        }
+        Err(TryLockError::Poisoned(_)) => panic!("multigrid scratch poisoned"),
+    }
+}
+
 /// Greedy pairwise matching along the strongest negative off-diagonal
 /// coupling. Returns `(agg, n_coarse)` where `agg[i]` is the aggregate
 /// index of node `i`. Unmatched nodes become singleton aggregates.
@@ -318,7 +338,7 @@ impl AmgHierarchy {
     /// Panics if the internal scratch mutex is poisoned (a prior apply
     /// panicked mid-cycle).
     pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
-        let mut scratch = self.scratch.lock().expect("amg scratch poisoned");
+        let mut scratch = lock_scratch(&self.scratch);
         let s = &mut *scratch;
         // (Re)size scratch lazily.
         if s.tmp.len() != self.levels.len() + 1 {
@@ -480,7 +500,7 @@ mod tests {
             .unwrap();
         let model = stack.discretize(GridSpec::new(16, 16)).unwrap();
         let h = crate::gmg::GmgHierarchy::build(model.csr(), 16, 16, 6).unwrap();
-        let coarsest = h.coarsest_operator().clone();
+        let coarsest = h.coarsest_operator(model.csr());
         assert!(coarsest.n() > 6 * 16, "coarsest level keeps the tail rows");
         coarsest
     }

@@ -16,6 +16,13 @@
 //!   rediscretized conductance network on the coarsened cells (parallel
 //!   conductances sum) — one pass over the fine matrix, no
 //!   matrix-matrix product and no matching heuristics.
+//! * **Only setup reads CSR.** Each level stores its coarse operator as
+//!   a [`StencilOperator`] extracted from the Galerkin CSR, which is
+//!   then dropped (the coarsest one after feeding the envelope factor).
+//!   The V-cycle multiplies on the finest level through the caller's
+//!   [`Operator`] — the model's stencil, never a copy — and on every
+//!   coarser level through the stored stencil; both are bit-identical
+//!   to the CSR product.
 //! * **Smoothing is damped z-line block Jacobi**: each in-plane cell
 //!   column owns a tridiagonal block (the vertical couplings through
 //!   the stack), factored once as `L D L^T` at build time and solved
@@ -45,8 +52,10 @@
 
 use std::sync::Mutex;
 
-use crate::amg::{galerkin, EnvelopeChol};
+use crate::amg::{galerkin, lock_scratch, EnvelopeChol};
 use crate::csr::CsrMatrix;
+use crate::solve::Operator;
+use crate::stencil::StencilOperator;
 
 /// Damping for the z-line block-Jacobi smoother. Block smoothers
 /// tolerate less damping than point Jacobi; 0.9 matches the AMG choice
@@ -67,7 +76,7 @@ const COARSE_CELLS_MAX: usize = 16;
 const MAX_LEVELS: usize = 16;
 
 /// One level: the fine-side smoother factors, the geometric aggregate
-/// map, and the rediscretized coarse operator.
+/// map, and the rediscretized coarse operator in stencil form.
 #[derive(Debug, Clone)]
 struct GmgLevel {
     /// In-plane dimensions of *this* (fine) level.
@@ -89,8 +98,9 @@ struct GmgLevel {
     tail_inv_diag: Vec<f64>,
     /// `agg[i]` is the coarse node of fine node `i`.
     agg: Vec<u32>,
-    /// Rediscretized coarse operator.
-    coarse_a: CsrMatrix,
+    /// Rediscretized coarse operator (the next level's matrix),
+    /// extracted from its Galerkin CSR at build time.
+    coarse: StencilOperator,
 }
 
 /// Per-apply scratch vectors, one set per level.
@@ -209,7 +219,8 @@ impl GmgHierarchy {
     /// `nx x ny` cells (plus tail rows, if any).
     ///
     /// Returns `None` on a dimension mismatch (`a` smaller than the
-    /// structured block implies the geometry description is wrong).
+    /// structured block implies the geometry description is wrong), or
+    /// when a coarse level is not stencil-shaped.
     #[must_use]
     pub fn build(a: &CsrMatrix, nx: usize, ny: usize, nl: usize) -> Option<Self> {
         if nx == 0 || ny == 0 || nl == 0 {
@@ -221,12 +232,18 @@ impl GmgHierarchy {
         }
         let n_tail = a.n() - grid_nodes;
 
-        let mut levels: Vec<GmgLevel> = Vec::new();
-        let (mut lnx, mut lny) = (nx, ny);
+        // Coarsen first: every level's in-plane dimensions, aggregate
+        // map and Galerkin CSR. Only setup reads these CSRs. Extracting
+        // each stencil inside this loop instead interleaves long-lived
+        // planes with the loop's temporaries, which raised peak RSS by
+        // ~2 MB over five 32x32 paper systems.
+        let mut dims = vec![(nx, ny)];
+        let mut aggs: Vec<Vec<u32>> = Vec::new();
+        let mut galerkin_a: Vec<CsrMatrix> = Vec::new();
         loop {
-            let cur = levels.last().map_or(a, |l| &l.coarse_a);
-            let cells = lnx * lny;
-            if cells <= COARSE_CELLS_MAX || levels.len() >= MAX_LEVELS {
+            let cur = galerkin_a.last().unwrap_or(a);
+            let (lnx, lny) = dims[dims.len() - 1];
+            if lnx * lny <= COARSE_CELLS_MAX || aggs.len() >= MAX_LEVELS {
                 break;
             }
             let cnx = lnx.div_ceil(2);
@@ -247,24 +264,31 @@ impl GmgHierarchy {
             for t in 0..n_tail {
                 agg.push((cgrid + t) as u32);
             }
-            let coarse_a = galerkin(cur, &agg, cgrid + n_tail);
-            let (inv_d, sub, tail_inv_diag) = zline_factors(cur, lnx, lny, nl);
+            galerkin_a.push(galerkin(cur, &agg, cgrid + n_tail));
+            aggs.push(agg);
+            dims.push((cnx, cny));
+        }
+        let coarse = EnvelopeChol::factor(galerkin_a.last().unwrap_or(a));
+        // Then the levels: z-line factors of each level's own matrix,
+        // and the stencil of the matrix below it.
+        let mut levels = Vec::with_capacity(aggs.len());
+        for (k, agg) in aggs.into_iter().enumerate() {
+            let fine = k.checked_sub(1).map_or(a, |above| &galerkin_a[above]);
+            let ((lnx, lny), (cnx, cny)) = (dims[k], dims[k + 1]);
+            let (inv_d, sub, tail_inv_diag) = zline_factors(fine, lnx, lny, nl);
             levels.push(GmgLevel {
                 nx: lnx,
                 ny: lny,
-                cells,
-                grid_nodes: nl * cells,
-                n: cur.n(),
+                cells: lnx * lny,
+                grid_nodes: nl * lnx * lny,
+                n: fine.n(),
                 inv_d,
                 sub,
                 tail_inv_diag,
                 agg,
-                coarse_a,
+                coarse: StencilOperator::from_csr(&galerkin_a[k], cnx, cny, nl)?,
             });
-            lnx = cnx;
-            lny = cny;
         }
-        let coarse = EnvelopeChol::factor(levels.last().map_or(a, |l| &l.coarse_a));
         Some(GmgHierarchy {
             nl,
             levels,
@@ -274,25 +298,27 @@ impl GmgHierarchy {
     }
 
     /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`. `a` must be
-    /// the matrix the hierarchy was built from (the finest operator).
+    /// the operator of the matrix the hierarchy was built from (the
+    /// finest level); its stencil, when attached, runs the finest
+    /// level's matvecs, and the stored stencils run the coarse ones.
     ///
     /// # Panics
     ///
     /// Panics if the internal scratch mutex is poisoned (a prior apply
     /// panicked mid-cycle).
-    pub fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
-        let mut scratch = self.scratch.lock().expect("gmg scratch poisoned");
+    pub fn apply(&self, a: Operator<'_>, r: &[f64], z: &mut [f64]) {
+        let mut scratch = lock_scratch(&self.scratch);
         let s = &mut *scratch;
         if s.tmp.len() != self.levels.len() + 1 {
             s.tmp.clear();
             s.cor.clear();
             s.rhs.clear();
             s.sol.clear();
-            let mut n = a.n();
+            let mut n = a.matrix().n();
             for lvl in &self.levels {
                 s.tmp.push(vec![0.0; n]);
                 s.cor.push(vec![0.0; n]);
-                n = lvl.coarse_a.n();
+                n = lvl.coarse.n();
                 s.rhs.push(vec![0.0; n]);
                 s.sol.push(vec![0.0; n]);
             }
@@ -302,8 +328,10 @@ impl GmgHierarchy {
         self.cycle(0, a, r, z, s);
     }
 
-    /// Recursive V-cycle on level `lvl`; `a` is that level's operator.
-    fn cycle(&self, lvl: usize, a: &CsrMatrix, r: &[f64], z: &mut [f64], s: &mut Scratch) {
+    /// Recursive V-cycle on level `lvl`; `fine` is the finest level's
+    /// operator, every coarser level multiplies by the stencil the level
+    /// above it stores.
+    fn cycle(&self, lvl: usize, fine: Operator<'_>, r: &[f64], z: &mut [f64], s: &mut Scratch) {
         if lvl == self.levels.len() {
             z.copy_from_slice(r);
             self.coarse.solve(z);
@@ -311,6 +339,12 @@ impl GmgHierarchy {
         }
         let level = &self.levels[lvl];
         let n = level.n;
+        // `matvec` parallelizes when the level is large enough; both
+        // backends are bitwise identical to their serial sweeps.
+        let matvec = |x: &[f64], y: &mut [f64]| match lvl.checked_sub(1) {
+            None => fine.matvec(x, y),
+            Some(above) => self.levels[above].coarse.matvec(x, y),
+        };
 
         let (mut tmp, mut cor, mut rhs, mut sol) = (
             std::mem::take(&mut s.tmp[lvl]),
@@ -325,17 +359,15 @@ impl GmgHierarchy {
             *zi *= SMOOTH_OMEGA;
         }
 
-        // Residual, restricted onto the geometric aggregates. `matvec`
-        // parallelizes on the finest level when large enough; it is
-        // bitwise identical to the serial sweep, and the restriction
-        // itself runs in fixed fine-node order.
-        a.matvec(z, &mut tmp);
+        // Residual, restricted onto the geometric aggregates in fixed
+        // fine-node order.
+        matvec(z, &mut tmp);
         rhs.iter_mut().for_each(|v| *v = 0.0);
         for i in 0..n {
             rhs[level.agg[i] as usize] += r[i] - tmp[i];
         }
 
-        self.cycle(lvl + 1, &level.coarse_a, &rhs, &mut sol, s);
+        self.cycle(lvl + 1, fine, &rhs, &mut sol, s);
 
         // Prolong with over-correction.
         for i in 0..n {
@@ -343,7 +375,7 @@ impl GmgHierarchy {
         }
 
         // Post-smooth: z += omega * M^-1 (r - A z).
-        a.matvec(z, &mut tmp);
+        matvec(z, &mut tmp);
         for i in 0..n {
             tmp[i] = r[i] - tmp[i];
         }
@@ -364,15 +396,16 @@ impl GmgHierarchy {
         self.levels.len() + 1
     }
 
-    /// The operator the coarsest level factors, for a hierarchy that
-    /// coarsened at least once.
+    /// The Galerkin CSR the coarsest level factors, recomputed from
+    /// `a` (the matrix the hierarchy was built from) through every
+    /// level's aggregate map.
     #[cfg(test)]
-    pub(crate) fn coarsest_operator(&self) -> &CsrMatrix {
-        &self
-            .levels
-            .last()
-            .expect("hierarchy has coarsened")
-            .coarse_a
+    pub(crate) fn coarsest_operator(&self, a: &CsrMatrix) -> CsrMatrix {
+        let mut cur = a.clone();
+        for lvl in &self.levels {
+            cur = galerkin(&cur, &lvl.agg, lvl.coarse.n());
+        }
+        cur
     }
 
     /// In-plane dimensions `(nx, ny)` of the finest coarsened level, or
@@ -435,7 +468,7 @@ mod tests {
         assert_eq!(h.num_levels(), 1);
         let b: Vec<f64> = (0..a.n()).map(|i| (i as f64) * 0.1 + 1.0).collect();
         let mut z = vec![0.0; a.n()];
-        h.apply(&a, &b, &mut z);
+        h.apply(Operator::csr(&a), &b, &mut z);
         let mut az = vec![0.0; a.n()];
         a.matvec_serial(&z, &mut az);
         for (got, want) in az.iter().zip(&b) {
@@ -450,7 +483,32 @@ mod tests {
         assert!(h.num_levels() >= 3, "expected real coarsening");
         for lvl in &h.levels {
             assert_eq!(lvl.grid_nodes, 5 * lvl.cells);
-            assert_eq!(lvl.coarse_a.n() % 5, 0, "coarse level lost a layer");
+            assert_eq!(lvl.coarse.n() % 5, 0, "coarse level lost a layer");
+        }
+    }
+
+    #[test]
+    fn stored_stencils_multiply_bitwise_like_the_galerkin_csr() {
+        // 33x20 coarsens through `div_ceil`, so every level past the
+        // first has a one-cell-wide edge aggregate column or row.
+        for (nx, ny, nl) in [(32, 32, 5), (33, 20, 4)] {
+            let a = stack_matrix(nx, ny, nl);
+            let h = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
+            assert!(h.num_levels() >= 3, "{nx}x{ny}: expected real coarsening");
+            let mut cur = a;
+            for (k, lvl) in h.levels.iter().enumerate() {
+                cur = galerkin(&cur, &lvl.agg, lvl.coarse.n());
+                let n = cur.n();
+                let x: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.61).sin() - 0.2).collect();
+                let (mut yc, mut ys) = (vec![0.0; n], vec![1.0; n]);
+                cur.matvec_serial(&x, &mut yc);
+                lvl.coarse.matvec_serial(&x, &mut ys);
+                assert!(
+                    yc.iter().zip(&ys).all(|(c, s)| c.to_bits() == s.to_bits()),
+                    "{nx}x{ny} level {}: stencil and Galerkin CSR differ",
+                    k + 1
+                );
+            }
         }
     }
 
@@ -469,7 +527,13 @@ mod tests {
             sub,
             tail_inv_diag,
             agg: Vec::new(),
-            coarse_a: CsrMatrix::from_triplets(1, &[(0, 0, 1.0)]),
+            coarse: StencilOperator::from_csr(
+                &CsrMatrix::from_triplets(1, &[(0, 0, 1.0)]),
+                1,
+                1,
+                1,
+            )
+            .expect("1x1x1 is a stencil"),
         };
         // M z = r where M keeps only diagonal + vertical couplings.
         let r: Vec<f64> = (0..a.n()).map(|i| ((i as f64) * 0.4).cos() + 2.0).collect();
@@ -510,7 +574,7 @@ mod tests {
         let mut z = vec![0.0; n];
         let mut ax = vec![0.0; n];
         for _ in 0..40 {
-            h.apply(&a, &r, &mut z);
+            h.apply(Operator::csr(&a), &r, &mut z);
             for i in 0..n {
                 x[i] += z[i];
             }
@@ -524,6 +588,35 @@ mod tests {
             norm < 1e-8 * norm0,
             "V-cycle Richardson failed to contract: {norm:.3e} vs {norm0:.3e}"
         );
+    }
+
+    #[test]
+    fn an_apply_blocked_on_the_scratch_counts_a_wait() {
+        use xylem_obs::Counter;
+        let a = stack_matrix(8, 8, 3);
+        let h = GmgHierarchy::build(&a, 8, 8, 3).expect("build");
+        let n = a.n();
+        let r = vec![1.0; n];
+        let before = xylem_obs::counter(Counter::PrecScratchWaits);
+        let held = h.scratch.lock().expect("fresh mutex");
+        std::thread::scope(|sc| {
+            let waiter = sc.spawn(|| {
+                let mut z = vec![0.0; n];
+                h.apply(Operator::csr(&a), &r, &mut z);
+                z
+            });
+            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(60);
+            while xylem_obs::counter(Counter::PrecScratchWaits) == before {
+                assert!(
+                    std::time::Instant::now() < give_up,
+                    "the wait was never counted"
+                );
+                std::thread::yield_now();
+            }
+            drop(held);
+            let z = waiter.join().expect("apply thread");
+            assert!(z.iter().all(|v| v.is_finite() && *v > 0.0));
+        });
     }
 
     #[test]

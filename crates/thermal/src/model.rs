@@ -87,7 +87,8 @@ struct TransientOp {
     kind: PreconditionerKind,
     a: CsrMatrix,
     /// Stencil view of `a` — the diagonal-patched clone of the model's
-    /// stencil, so transient solves keep the matrix-free fast path.
+    /// stencil, so transient solves, and the finest level of their GMG
+    /// V-cycles, keep the matrix-free fast path.
     stencil: Option<StencilOperator>,
     prec: Preconditioner,
 }

@@ -48,7 +48,8 @@
 //! [`solve_cg_resilient`] run on an [`Operator`]: the CSR matrix plus an
 //! optional matrix-free [`StencilOperator`](crate::stencil) fast path
 //! whose sweeps are bit-identical to the CSR kernel. A bare matrix is
-//! [`Operator::csr`].
+//! [`Operator::csr`]. The preconditioner apply takes the same operator,
+//! so the GMG V-cycle's finest-level matvecs run on the stencil too.
 
 use serde::{Deserialize, Serialize};
 
@@ -381,14 +382,21 @@ impl Preconditioner {
     /// `z = M^-1 r` as a standalone call — benchmark/diagnostic entry
     /// point for measuring preconditioner apply cost in isolation.
     #[doc(hidden)]
-    pub fn apply_timed(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64]) {
+    pub fn apply_timed(&self, a: Operator<'_>, r: &[f64], z: &mut [f64]) {
         let mut partials = vec![0.0; r.len().div_ceil(ROW_CHUNK)];
         let _ = self.apply(a, r, z, &mut partials);
     }
 
-    /// `z = M^-1 r`. Returns `dot(r, z)` (deterministically chunked)
-    /// when it falls out of the pass for free (Jacobi), else `None`.
-    fn apply(&self, a: &CsrMatrix, r: &[f64], z: &mut [f64], partials: &mut [f64]) -> Option<f64> {
+    /// `z = M^-1 r` for the operator the preconditioner was built from.
+    /// Returns `dot(r, z)` (deterministically chunked) when it falls out
+    /// of the pass for free (Jacobi), else `None`.
+    fn apply(
+        &self,
+        a: Operator<'_>,
+        r: &[f64],
+        z: &mut [f64],
+        partials: &mut [f64],
+    ) -> Option<f64> {
         match self {
             Preconditioner::Jacobi { inv_diag } => {
                 // Fused: z = D^-1 r and rz = dot(r, z) in one pass.
@@ -408,7 +416,7 @@ impl Preconditioner {
                 Some(reduce_pairwise(partials))
             }
             Preconditioner::Amg(h) => {
-                h.apply(a, r, z);
+                h.apply(a.matrix(), r, z);
                 None
             }
             Preconditioner::Gmg(h) => {
@@ -448,14 +456,15 @@ impl<'a> Operator<'a> {
         Operator { csr: a, stencil }
     }
 
-    /// The CSR form (preconditioner setup and apply always read this).
+    /// The CSR form (preconditioner setup and the AMG V-cycle read
+    /// this).
     #[must_use]
     pub fn matrix(&self) -> &'a CsrMatrix {
         self.csr
     }
 
     /// `y = A x` through the fastest available backend.
-    fn matvec(&self, x: &[f64], y: &mut [f64]) {
+    pub(crate) fn matvec(&self, x: &[f64], y: &mut [f64]) {
         match self.stencil {
             Some(s) => s.matvec(x, y),
             None => self.csr.matvec(x, y),
@@ -558,9 +567,8 @@ fn solve_cg_raw(
     options: &SolverOptions,
     mut curve: Option<&mut Vec<f64>>,
 ) -> Result<SolveStats, ThermalError> {
-    let a = op.matrix();
     let n = b.len();
-    debug_assert_eq!(a.n(), n);
+    debug_assert_eq!(op.matrix().n(), n);
     debug_assert_eq!(x.len(), n);
     ws.resize(n);
     let par = n >= PAR_MIN_ROWS && rayon::current_num_threads() > 1;
@@ -580,7 +588,7 @@ fn solve_cg_raw(
         *ri = bi - *ri;
     }
     let mut rr = dot_chunked(&ws.r, &ws.r, &mut ws.partials, par);
-    let mut rz = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials) {
+    let mut rz = match prec.apply(op, &ws.r, &mut ws.z, &mut ws.partials) {
         Some(rz) => rz,
         None => dot_chunked(&ws.r, &ws.z, &mut ws.partials, par),
     };
@@ -614,7 +622,7 @@ fn solve_cg_raw(
         }
         let alpha = rz / pap;
         rr = fused_xr_update(x, &mut ws.r, &ws.p, &ws.ap, alpha, &mut ws.partials, par);
-        let rz_next = match prec.apply(a, &ws.r, &mut ws.z, &mut ws.partials) {
+        let rz_next = match prec.apply(op, &ws.r, &mut ws.z, &mut ws.partials) {
             Some(rz) => rz,
             None => dot_chunked(&ws.r, &ws.z, &mut ws.partials, par),
         };

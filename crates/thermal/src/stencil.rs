@@ -6,9 +6,20 @@
 //! below. [`StencilOperator`] stores those couplings as seven per-node
 //! *coefficient planes* (`up`, `south`, `west`, `diag`, `east`, `north`,
 //! `down`), so the matvec inner loop is an x-line sweep over contiguous
-//! arrays with fixed strides — no CSR column-index loads, and neighbor
-//! presence is decided per line/span rather than per entry, which keeps
-//! the hot span a branch-free SIMD-friendly fused-multiply chain.
+//! arrays with fixed strides — no CSR column-index loads.
+//!
+//! # The sweep
+//!
+//! Each x-line decides its `up/south/north/down` neighbor flags once.
+//! Its west and east edge cells, and any span missing a neighbor or
+//! carrying rim entries, go through the generic span, which tests the
+//! flags per cell. Every other span — the bulk of the grid — runs the
+//! interior kernel: seven coefficient planes and seven shifted views of
+//! `x`, all plain sub-slices of the span's length, folded by one
+//! expression per cell with no branch, no bounds check and no rim walk,
+//! so LLVM vectorizes it across cells. Rust never contracts a multiply
+//! and an add into an FMA, so both paths round every product and every
+//! sum the same way.
 //!
 //! The handful of rows that are *not* structured — the package rim
 //! couplings from edge cells of the spreader/sink layers to the 12
@@ -32,8 +43,9 @@
 //! matrix that is not exactly this shape.
 //!
 //! Parallel sweeps reuse the CSR kernel's row-chunk partition
-//! ([`crate::csr`]'s `ROW_CHUNK` / [`PAR_MIN_ROWS`]), so serial and
-//! parallel runs remain bitwise identical across thread counts.
+//! ([`crate::csr`]'s `ROW_CHUNK` / [`PAR_MIN_ROWS`]). A chunk may start
+//! or end mid-line; each row's fold is the same either way, so serial
+//! and parallel runs remain bitwise identical across thread counts.
 
 use rayon::{current_num_threads, scope};
 
@@ -258,7 +270,8 @@ impl StencilOperator {
     /// Folds one span of cells on a single x-line, all sharing the same
     /// neighbor-presence flags. Terms fold in ascending-column order —
     /// exactly the CSR row order — so the result is bit-identical to
-    /// [`CsrMatrix::matvec_serial`].
+    /// [`CsrMatrix::matvec_serial`]. The rim walk runs only when some
+    /// cell of the span has rim entries.
     #[inline]
     fn sweep_span(
         &self,
@@ -271,6 +284,7 @@ impl StencilOperator {
     ) {
         let cells = self.cells;
         let nx = self.nx;
+        let rim = self.rim_ptr[i0] != self.rim_ptr[i0 + y.len()];
         for (k, yi) in y.iter_mut().enumerate() {
             let i = i0 + k;
             let mut acc = 0.0;
@@ -293,53 +307,110 @@ impl StencilOperator {
             if fl.down {
                 acc += self.down[i] * x[i + cells];
             }
-            let lo = self.rim_ptr[i] as usize;
-            let hi = self.rim_ptr[i + 1] as usize;
-            for e in lo..hi {
-                acc += self.rim_vals[e] * x[self.rim_cols[e] as usize];
+            if rim {
+                let lo = self.rim_ptr[i] as usize;
+                let hi = self.rim_ptr[i + 1] as usize;
+                for e in lo..hi {
+                    acc += self.rim_vals[e] * x[self.rim_cols[e] as usize];
+                }
             }
             *yi = acc;
         }
     }
 
-    /// `y[rows] = (A x)[rows]` for a contiguous range of *structured*
-    /// rows starting at `lo`, swept x-line by x-line with the west/east
-    /// boundary cells split off so the interior span carries no
-    /// per-cell branches.
-    fn stencil_rows(&self, lo: usize, x: &[f64], y: &mut [f64]) {
+    /// The interior kernel: a span with all six neighbors present and no
+    /// rim entries. Every operand is a plain sub-slice of the span's
+    /// length, so the loop carries no branch and no bounds check and
+    /// LLVM vectorizes it across cells. Each cell folds the same seven
+    /// terms in the same order as [`StencilOperator::sweep_span`],
+    /// starting from `0.0` (`0.0 + t` is not `t` when `t` is `-0.0`).
+    #[inline]
+    fn sweep_interior(&self, i0: usize, x: &[f64], y: &mut [f64]) {
+        let n = y.len();
+        let (cells, nx) = (self.cells, self.nx);
+        fn at(p: &[f64], start: usize, n: usize) -> &[f64] {
+            &p[start..start + n]
+        }
+        let (up, south, west) = (
+            at(&self.up, i0, n),
+            at(&self.south, i0, n),
+            at(&self.west, i0, n),
+        );
+        let (diag, east) = (at(&self.diag, i0, n), at(&self.east, i0, n));
+        let (north, down) = (at(&self.north, i0, n), at(&self.down, i0, n));
+        let (xu, xs, xw) = (at(x, i0 - cells, n), at(x, i0 - nx, n), at(x, i0 - 1, n));
+        let (xc, xe) = (at(x, i0, n), at(x, i0 + 1, n));
+        let (xn, xd) = (at(x, i0 + nx, n), at(x, i0 + cells, n));
+        for (k, yk) in y.iter_mut().enumerate() {
+            *yk = 0.0
+                + up[k] * xu[k]
+                + south[k] * xs[k]
+                + west[k] * xw[k]
+                + diag[k] * xc[k]
+                + east[k] * xe[k]
+                + north[k] * xn[k]
+                + down[k] * xd[k];
+        }
+    }
+
+    /// `y = (A x)[i..i + y.len()]` for cells `ix..ix + y.len()` of one
+    /// x-line: the west and east boundary cells go through the generic
+    /// span, the interior through [`StencilOperator::sweep_interior`]
+    /// when the line has all four off-line neighbors and the interior
+    /// span has no rim entries.
+    fn sweep_line(&self, i: usize, ix: usize, fl: LineFlags, x: &[f64], y: &mut [f64]) {
         let nx = self.nx;
+        let len = y.len();
+        if nx == 1 {
+            self.sweep_span(i, false, false, fl, x, y);
+            return;
+        }
+        if ix == 0 {
+            self.sweep_span(i, false, true, fl, x, &mut y[..1]);
+        }
+        let int_lo = ix.max(1) - ix;
+        let int_hi = (ix + len).min(nx - 1) - ix;
+        if int_hi > int_lo {
+            let (i0, span) = (i + int_lo, &mut y[int_lo..int_hi]);
+            let full = fl.up && fl.south && fl.north && fl.down;
+            if full && self.rim_ptr[i0] == self.rim_ptr[i0 + span.len()] {
+                self.sweep_interior(i0, x, span);
+            } else {
+                self.sweep_span(i0, true, true, fl, x, span);
+            }
+        }
+        if ix + len == nx {
+            self.sweep_span(i + len - 1, true, false, fl, x, &mut y[len - 1..]);
+        }
+    }
+
+    /// `y[rows] = (A x)[rows]` for a contiguous range of *structured*
+    /// rows starting at `lo`, swept x-line by x-line. Only the first
+    /// line's position is divided out; the loop then steps `(l, iy)`
+    /// line by line. A range may start or end mid-line (a parallel
+    /// chunk edge): its first and last lines are partial segments.
+    fn stencil_rows(&self, lo: usize, x: &[f64], y: &mut [f64]) {
+        let (nx, ny) = (self.nx, self.ny);
         let hi = lo + y.len();
+        let line = lo / nx;
+        let (mut l, mut iy, mut ix) = (line / ny, line % ny, lo % nx);
         let mut i = lo;
         while i < hi {
-            let cell = i % self.cells;
-            let l = i / self.cells;
-            let iy = cell / nx;
-            let ix = cell % nx;
-            // This segment: from ix to the end of the line or range.
             let len = (nx - ix).min(hi - i);
             let fl = LineFlags {
                 up: l > 0,
                 south: iy > 0,
-                north: iy + 1 < self.ny,
+                north: iy + 1 < ny,
                 down: l + 1 < self.nl,
             };
-            let out = &mut y[i - lo..i - lo + len];
-            if nx == 1 {
-                self.sweep_span(i, false, false, fl, x, out);
-            } else {
-                if ix == 0 {
-                    self.sweep_span(i, false, true, fl, x, &mut out[..1]);
-                }
-                let int_lo = ix.max(1) - ix;
-                let int_hi = (ix + len).min(nx - 1) - ix;
-                if int_hi > int_lo {
-                    self.sweep_span(i + int_lo, true, true, fl, x, &mut out[int_lo..int_hi]);
-                }
-                if ix + len == nx {
-                    self.sweep_span(i + len - 1, true, false, fl, x, &mut out[len - 1..]);
-                }
-            }
+            self.sweep_line(i, ix, fl, x, &mut y[i - lo..i - lo + len]);
             i += len;
+            ix = 0;
+            iy += 1;
+            if iy == ny {
+                iy = 0;
+                l += 1;
+            }
         }
     }
 
@@ -509,17 +580,29 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bitwise_serial() {
-        // Enough rows to span several ROW_CHUNK boundaries.
-        let (nx, ny, nl, tail) = (64, 33, 5, 12);
-        let a = structured(nx, ny, nl, tail);
-        let s = StencilOperator::from_csr(&a, nx, ny, nl).expect("structured");
-        assert!(s.n() > 2 * ROW_CHUNK);
-        let x = probe(s.n());
-        let mut ys = vec![0.0; s.n()];
-        let mut yp = vec![1.0; s.n()];
-        s.matvec_serial(&x, &mut ys);
-        s.matvec_parallel(&x, &mut yp);
-        assert!(ys.iter().zip(&yp).all(|(a, b)| a.to_bits() == b.to_bits()));
+        // Enough rows to span several ROW_CHUNK boundaries. With nx = 64
+        // every chunk starts on a line; with nx = 45 chunks start and
+        // end mid-line, and at 45x92 the first chunk edge falls inside
+        // the last line of the rim-carrying top layer.
+        for (nx, ny, nl, tail) in [(64, 33, 5, 12), (45, 37, 5, 12), (45, 92, 2, 12)] {
+            let a = structured(nx, ny, nl, tail);
+            let s = StencilOperator::from_csr(&a, nx, ny, nl).expect("structured");
+            assert!(s.n() > 2 * ROW_CHUNK);
+            let x = probe(s.n());
+            let mut ys = vec![0.0; s.n()];
+            let mut yp = vec![1.0; s.n()];
+            let mut yc = vec![2.0; s.n()];
+            s.matvec_serial(&x, &mut ys);
+            s.matvec_parallel(&x, &mut yp);
+            a.matvec_serial(&x, &mut yc);
+            assert!(ys.iter().zip(&yp).all(|(a, b)| a.to_bits() == b.to_bits()));
+            assert!(ys.iter().zip(&yc).all(|(a, b)| a.to_bits() == b.to_bits()));
+        }
+        // The 45x92 chunk edge really is mid-line in a rim line.
+        let s =
+            StencilOperator::from_csr(&structured(45, 92, 2, 12), 45, 92, 2).expect("structured");
+        assert_ne!(ROW_CHUNK % 45, 0);
+        assert!(s.rim_ptr[ROW_CHUNK] != s.rim_ptr[ROW_CHUNK + 1]);
     }
 
     #[test]

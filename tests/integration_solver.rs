@@ -4,6 +4,7 @@
 //! resilient CG entry points, and the conductance matrix a discretized
 //! stack hands them.
 
+use xylem_stack::{StackConfig, XylemScheme};
 use xylem_thermal::amg::AmgHierarchy;
 use xylem_thermal::gmg::GmgHierarchy;
 use xylem_thermal::layer::Layer;
@@ -14,6 +15,7 @@ use xylem_thermal::solve::{
     solve_cg, solve_cg_resilient, DeadlineGuard, Operator, Preconditioner, PreconditionerKind,
     RecoveryReport, SolveStats, SolverOptions, SolverWorkspace, FALLBACK_LADDER,
 };
+use xylem_thermal::units::Watts;
 use xylem_thermal::{CsrMatrix, GridSpec, PowerMap, Stack, ThermalError, ThermalModel};
 
 /// The 1D Laplacian `[-1 d -1]`: SPD for `d >= 2`, needs real CG
@@ -314,7 +316,7 @@ fn jacobi_apply_scales_by_the_reciprocal_diagonal() {
     let prec = Preconditioner::build(&a, PreconditionerKind::Jacobi);
     let r: Vec<f64> = (0..9).map(|i| i as f64 - 3.5).collect();
     let mut z = vec![0.0; 9];
-    prec.apply_timed(&a, &r, &mut z);
+    prec.apply_timed(Operator::csr(&a), &r, &mut z);
     for (zi, ri) in z.iter().zip(&r) {
         assert_eq!(zi.to_bits(), (ri * (1.0 / 2.5)).to_bits());
     }
@@ -342,8 +344,8 @@ fn preconditioner_apply_is_symmetric() {
     let s: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 + 0.5).collect();
     for prec in every_preconditioner(&a, n) {
         let (mut zr, mut zs) = (vec![0.0; n], vec![0.0; n]);
-        prec.apply_timed(&a, &r, &mut zr);
-        prec.apply_timed(&a, &s, &mut zs);
+        prec.apply_timed(Operator::csr(&a), &r, &mut zr);
+        prec.apply_timed(Operator::csr(&a), &s, &mut zs);
         let (lhs, rhs) = (pairwise_dot(&zr, &s), pairwise_dot(&r, &zs));
         let kind = prec.kind();
         assert!(
@@ -364,7 +366,7 @@ fn preconditioner_apply_is_positive_definite() {
                 .map(|i| ((i * (seed + 3) + seed) % 11) as f64 - 5.0)
                 .collect();
             let mut z = vec![0.0; n];
-            prec.apply_timed(&a, &r, &mut z);
+            prec.apply_timed(Operator::csr(&a), &r, &mut z);
             let rz = pairwise_dot(&r, &z);
             assert!(rz > 0.0, "{:?} seed {seed}: {rz}", prec.kind());
         }
@@ -393,8 +395,8 @@ fn gmg_v_cycle_is_linear_in_the_residual() {
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let r2: Vec<f64> = r.iter().map(|v| 2.0 * v).collect();
     let (mut z, mut z2) = (vec![0.0; n], vec![0.0; n]);
-    h.apply(&a, &r, &mut z);
-    h.apply(&a, &r2, &mut z2);
+    h.apply(Operator::csr(&a), &r, &mut z);
+    h.apply(Operator::csr(&a), &r2, &mut z2);
     let doubled: Vec<f64> = z.iter().map(|v| 2.0 * v).collect();
     assert_eq!(bits(&doubled), bits(&z2));
 }
@@ -408,8 +410,8 @@ fn gmg_clone_applies_bitwise_like_the_original() {
     let n = a.n();
     let r: Vec<f64> = (0..n).map(|i| ((i * 11) % 13) as f64 - 6.0).collect();
     let (mut z, mut zc) = (vec![0.0; n], vec![1.0; n]);
-    h.apply(&a, &r, &mut z);
-    c.apply(&a, &r, &mut zc);
+    h.apply(Operator::csr(&a), &r, &mut z);
+    c.apply(Operator::csr(&a), &r, &mut zc);
     assert_eq!(bits(&z), bits(&zc));
 }
 
@@ -661,4 +663,80 @@ fn user_nodes_are_distinct_and_in_range() {
             }
         }
     }
+}
+
+// ---- Pinned solver bits -----------------------------------------------
+
+/// FNV-1a over the IEEE bit patterns of `v`, as 16 hex digits.
+fn bits_digest(v: &[f64]) -> String {
+    let bytes: Vec<u8> = v.iter().flat_map(|f| f.to_bits().to_le_bytes()).collect();
+    format!("{:016x}", xylem_obs::hash::fnv1a(&bytes))
+}
+
+/// The paper stack under `scheme` at `grid x grid`, with `watts` on the
+/// processor metal and 0.35 W on each DRAM metal layer.
+fn paper_model(scheme: XylemScheme, grid: usize, watts: f64) -> (ThermalModel, PowerMap) {
+    let built = StackConfig::paper_default(scheme).build().unwrap();
+    let model = built.stack().discretize(GridSpec::new(grid, grid)).unwrap();
+    let mut p = PowerMap::zeros(&model);
+    p.add_uniform_layer_power(built.proc_metal_layer(), Watts::new(watts));
+    for &l in built.dram_metal_layers() {
+        p.add_uniform_layer_power(l, Watts::new(0.35));
+    }
+    (model, p)
+}
+
+/// Every solver kernel change must leave these bits where they are: a
+/// kernel that reorders one floating-point fold moves a digest. The
+/// expected values were captured before the matrix-free V-cycle and the
+/// split interior stencil sweep landed.
+#[test]
+fn solver_output_bits_are_pinned() {
+    // One GMG apply on a fixed vector, 32x32 BankEnhanced stack.
+    let (model, power) = paper_model(XylemScheme::BankEnhanced, 32, 18.0);
+    let (_, burst) = paper_model(XylemScheme::BankEnhanced, 32, 30.0);
+    let nl = model
+        .stencil()
+        .expect("paper stack is stencil-shaped")
+        .layers();
+    let prec = Preconditioner::build_gmg(model.csr(), 32, 32, nl).expect("geometry matches");
+    let n = model.node_count();
+    let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
+    let mut z = vec![0.0; n];
+    prec.apply_timed(
+        Operator::with_stencil(model.csr(), model.stencil()),
+        &r,
+        &mut z,
+    );
+    assert_eq!(bits_digest(&z), "217c1a9c06856811");
+
+    // Its steady solve, then 12 one-step backward-Euler calls under a
+    // power burst.
+    assert_eq!(
+        model.solver_options().preconditioner,
+        PreconditionerKind::Gmg
+    );
+    let mut t = model.steady_state(&power).unwrap();
+    let mut chain = t.raw().to_vec();
+    let mut iters = vec![t.stats().iterations];
+    let mut ws = SolverWorkspace::new();
+    for _ in 0..12 {
+        t = model
+            .transient_with(&burst, &t, 1e-3, 1, None, &mut ws)
+            .unwrap();
+        chain.extend_from_slice(t.raw());
+        iters.push(t.stats().iterations);
+    }
+    assert_eq!(bits_digest(&chain), "b4ecb9dfc089c6e8");
+    assert_eq!(iters, [19, 3, 3, 3, 3, 2, 2, 2, 2, 2, 2, 2, 2]);
+
+    // A 16x16 steady solve, which stays on AMG.
+    let (model, power) = paper_model(XylemScheme::Base, 16, 18.0);
+    assert_eq!(
+        model.solver_options().preconditioner,
+        PreconditionerKind::Amg
+    );
+    let t = model.steady_state(&power).unwrap();
+    assert_eq!(bits_digest(t.raw()), "12a271eb24c4efa1");
+    assert_eq!(t.stats().iterations, 55);
 }
