@@ -6,12 +6,12 @@
 #                    # test suite
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
-#                    # crates + thread-count determinism digests (default
-#                    # and GMG-forced solver configurations)
+#                    # crates + thread-count determinism digests (DTM on
+#                    # the default GMG solver, scenario solve, sweep)
 #   ./ci.sh bench    # regenerate BENCH_thermal.json: steady scaling up to
-#                    # 128x128, AMG-vs-GMG setup/apply/solve head-to-head,
-#                    # stencil-vs-CSR matvec microbench, matched-accuracy
-#                    # adaptive comparison
+#                    # 128x128, GMG setup/apply per grid, stencil-vs-CSR
+#                    # matvec microbench, matched-accuracy adaptive
+#                    # comparison
 #   ./ci.sh faults   # fault-injection sweep: seeded sensor faults, forced
 #                    # solver failures, checkpoint/resume bit-identity,
 #                    # and the crash-consistency suites (checkpoint and
@@ -63,14 +63,14 @@ if [[ "${1:-}" == "sanitize" ]]; then
     echo "==> miri not installed; falling back to plain tests for pure crates"
     cargo test -q -p xylem-lint -p xylem-obs -p xylem-workloads
   fi
-  echo "==> thread-count determinism digests (default + GMG, 1 vs 4 threads)"
+  echo "==> thread-count determinism digests (DTM, scenario, sweep; 1 vs 4 threads)"
   cargo test -q --release -p xylem-core --test thread_determinism
   echo "Sanitize lane green."
   exit 0
 fi
 
 if [[ "${1:-}" == "bench" ]]; then
-  echo "==> solver smoke bench (BENCH_thermal.json: scaling to 128x128, AMG vs GMG, stencil matvec)"
+  echo "==> solver smoke bench (BENCH_thermal.json: scaling to 128x128, GMG setup/apply, stencil matvec)"
   cargo run --release -q -p xylem-bench --bin bench_thermal_smoke
   exit 0
 fi

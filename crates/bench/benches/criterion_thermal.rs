@@ -56,7 +56,7 @@ fn bench_steady_state(c: &mut Criterion) {
         let model = built.stack().discretize(GridSpec::new(n, n)).unwrap();
         let p = paper_load(&built, &model);
         let mut ws = SolverWorkspace::new();
-        group.bench_with_input(BenchmarkId::new("csr_amg", n), &n, |b, _| {
+        group.bench_with_input(BenchmarkId::new("stencil_gmg", n), &n, |b, _| {
             b.iter(|| model.steady_state_from(&p, None, &mut ws).unwrap())
         });
     }

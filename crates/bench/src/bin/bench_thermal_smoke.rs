@@ -1,12 +1,11 @@
 //! Solver smoke benchmark: regenerates `BENCH_thermal.json` at the
 //! workspace root (run via `./ci.sh bench`).
 //!
-//! Measures, per grid size, the steady-state solve through the model's
-//! default pick (matrix-free stencil + GMG on large grids, CSR+AMG on
-//! small ones); a preconditioner head-to-head (setup / apply / full solve, AMG vs
-//! GMG) at every grid; a stencil-vs-CSR matvec microbench; the
-//! warm- vs cold-started CG cost of one DTM control-period step; and
-//! adaptive-vs-fixed stepping at matched accuracy. The checked-in JSON
+//! Measures, per grid size, the steady-state solve (matrix-free stencil
+//! and GMG), the GMG hierarchy's setup and one apply; a stencil-vs-CSR
+//! matvec microbench; the warm- vs cold-started CG cost of one DTM
+//! control-period step; and adaptive-vs-fixed stepping at matched
+//! accuracy. The checked-in JSON
 //! is the reference record of the solver-core speedups; regenerate it
 //! on solver changes and eyeball the diff.
 
@@ -17,7 +16,7 @@ use xylem::system::{SystemConfig, XylemSystem};
 use xylem_stack::{StackConfig, XylemScheme};
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::power::PowerMap;
-use xylem_thermal::solve::{Operator, Preconditioner, PreconditionerKind, SolverOptions};
+use xylem_thermal::solve::{Operator, Preconditioner};
 use xylem_thermal::temperature::TemperatureField;
 use xylem_thermal::units::Watts;
 use xylem_thermal::{AdaptiveController, AdaptiveOptions, SolverWorkspace, ThermalModel};
@@ -28,22 +27,19 @@ struct SteadyRow {
     grid: usize,
     nodes: usize,
     nnz: usize,
-    /// The preconditioner the model picked for itself at this size.
+    /// The preconditioner the model solved with.
     solver: &'static str,
     solver_ms: f64,
     solver_iters: usize,
 }
 
-/// AMG-vs-GMG head-to-head over the same matrix: hierarchy setup, one
-/// preconditioner apply, and the full preconditioned steady solve.
+/// GMG hierarchy setup and one preconditioner apply on the steady
+/// operator.
 #[derive(Serialize)]
 struct PrecRow {
     grid: usize,
-    kind: &'static str,
     setup_ms: f64,
     apply_ms: f64,
-    solve_ms: f64,
-    solve_iters: usize,
 }
 
 /// Serial `y = A x` through the flat CSR rows vs the coefficient-plane
@@ -160,7 +156,7 @@ fn main() {
     let mut preconditioner = Vec::new();
     let mut matvec = Vec::new();
     for grid in [16usize, 32, 64, 128] {
-        let mut model = built
+        let model = built
             .stack()
             .discretize(GridSpec::new(grid, grid))
             .expect("grid discretizes");
@@ -186,54 +182,33 @@ fn main() {
             solver_iters: default_field.stats().iterations,
         });
 
-        // Preconditioner head-to-head on every grid, on both sides of
-        // the default pick's AMG/GMG switch.
+        // GMG setup and one apply on every grid.
         let n_layers = 3 + model.n_user_layers();
         let x = default_field.raw().to_vec();
         let mut r = vec![0.0; x.len()];
         model.csr().matvec_serial(&x, &mut r);
         let mut z = vec![0.0; x.len()];
-        let prec_reps = if grid == 128 { 5 } else { 10 };
-        for kind in [PreconditionerKind::Amg, PreconditionerKind::Gmg] {
-            let build_one = || match kind {
-                PreconditionerKind::Gmg => Preconditioner::build_gmg(
-                    model.csr(),
-                    model.grid().nx(),
-                    model.grid().ny(),
-                    n_layers,
-                )
-                .expect("structured grids build a geometric hierarchy"),
-                _ => Preconditioner::build(model.csr(), kind),
-            };
-            let prec = build_one();
-            let setup_ms = time_ms(if grid == 128 { 2 } else { 5 }, build_one);
-            let op = Operator::with_stencil(model.csr(), model.stencil());
-            let apply_ms = time_ms(prec_reps, || prec.apply_timed(op, &r, &mut z));
-            model.set_solver_options(SolverOptions {
-                preconditioner: kind,
-                ..*model.solver_options()
-            });
-            let field = model
-                .steady_state_from(&p, None, &mut ws)
-                .expect("preconditioned solve");
-            let solve_ms = time_ms(if grid == 128 { 2 } else { 5 }, || {
-                model.steady_state_from(&p, None, &mut ws).expect("solve")
-            });
-            preconditioner.push(PrecRow {
-                grid,
-                kind: kind.label(),
-                setup_ms,
-                apply_ms,
-                solve_ms,
-                solve_iters: field.stats().iterations,
-            });
-        }
+        let build_one = || {
+            Preconditioner::build_gmg(model.csr(), model.grid().nx(), model.grid().ny(), n_layers)
+                .expect("structured grids build a geometric hierarchy")
+        };
+        let prec = build_one();
+        let setup_ms = time_ms(if grid == 128 { 2 } else { 5 }, build_one);
+        let op = Operator::with_stencil(model.csr(), model.stencil());
+        let apply_ms = time_ms(if grid == 128 { 5 } else { 10 }, || {
+            prec.apply_timed(op, &r, &mut z)
+        });
+        preconditioner.push(PrecRow {
+            grid,
+            setup_ms,
+            apply_ms,
+        });
 
         // The matvec microbench from the benchmark's 32x32 grid up.
         if grid < 32 {
             continue;
         }
-        let stencil = model.stencil().expect("paper stacks are structured");
+        let stencil = model.stencil();
         let mut y = vec![0.0; x.len()];
         let mv_reps = match grid {
             128 => 20,
@@ -486,11 +461,9 @@ fn main() {
     };
 
     let report = Report {
-        description: "Solver smoke numbers: steady state through the model's default \
-                      pick (matrix-free stencil + geometric multigrid at 32x32 and up, \
-                      CSR+AMG below), the AMG-vs-GMG preconditioner head-to-head \
-                      (setup/apply/solve at every grid), the stencil-vs-CSR \
-                      matvec microbench, warm- vs cold-started DTM \
+        description: "Solver smoke numbers: steady state on the matrix-free stencil + \
+                      geometric multigrid, the GMG setup and one apply at every grid, \
+                      the stencil-vs-CSR matvec microbench, warm- vs cold-started DTM \
                       steps, adaptive- vs fixed-stepping at matched accuracy on the \
                       dtm_longrun workload, sweep-engine throughput with a chaos \
                       retry/quarantine drill, and the enabled-sink observability \

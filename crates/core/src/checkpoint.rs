@@ -412,6 +412,42 @@ mod tests {
     }
 
     #[test]
+    fn recovery_rungs_round_trip_and_a_retired_rung_is_corrupt() {
+        use xylem_thermal::{PreconditionerKind, RecoveryEvent};
+        let dir = std::env::temp_dir().join("xylem-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("rung.ckpt");
+        let mut ckpt = sample_checkpoint();
+        ckpt.recovery = RecoveryReport {
+            events: vec![RecoveryEvent {
+                rung: PreconditionerKind::Jacobi,
+                relaxed_tolerance: 1e-6,
+                iterations: 212,
+                residual: 4.5e-10,
+                recovered: true,
+            }],
+            attempts: 1,
+            recoveries: 1,
+        };
+        save(&path, &ckpt).unwrap();
+        assert_eq!(load(&path).unwrap(), ckpt);
+
+        // Files written while an algebraic multigrid rung existed may
+        // name it; such a file is a typed rejection, never a panic.
+        let payload = load_payload(&path).unwrap();
+        assert!(payload.contains("\"rung\":\"Jacobi\""), "{payload}");
+        save_payload(&path, &payload.replace("\"Jacobi\"", "\"Amg\"")).unwrap();
+        match load(&path) {
+            Err(CheckpointError::Corrupt { reason }) => assert!(reason.contains("Amg"), "{reason}"),
+            other => panic!("expected Corrupt naming the variant, got {other:?}"),
+        }
+
+        // A pre-adaptive v1 file still loads.
+        let v1 = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/pre_adaptive_v1.ckpt");
+        assert!(load(&v1).unwrap().adaptive.is_none());
+    }
+
+    #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a 64-bit test vectors, through the hex form the
         // checkpoint stores as its config hash.

@@ -177,10 +177,10 @@ impl ThermalResponse {
     /// Bump when solver numerics or derived geometry (anything not
     /// captured by the config serialization, e.g. scheme site-placement
     /// logic) change, so stale caches are never served.
-    // v3: CSR solver core with AMG preconditioning and warm-started
-    // unit solves — numerically equivalent within tolerance, but not
-    // bit-identical to v2 fields.
-    const CACHE_VERSION: u32 = 3;
+    // v4: the geometric multigrid preconditions every grid (below
+    // 32x32 it replaced an algebraic one) — numerically equivalent
+    // within tolerance, but not bit-identical to v3 fields there.
+    const CACHE_VERSION: u32 = 4;
 
     /// The cache file for `built` + `grid`: FNV-1a over an explicit
     /// little-endian encoding of the cache version, the full
@@ -408,7 +408,7 @@ mod tests {
         let path = ThermalResponse::cache_path(Path::new("cache"), &built, GridSpec::new(8, 8));
         assert_eq!(
             path,
-            Path::new("cache").join("response-fde8749a8455dc3a.json")
+            Path::new("cache").join("response-c007acc1d04a0c73.json")
         );
     }
 

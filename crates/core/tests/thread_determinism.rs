@@ -11,11 +11,10 @@
 //! every deterministic observability counter. The parent asserts the
 //! two digests are byte-identical.
 //!
-//! Two solver configurations are locked: the model's own default pick
-//! (GMG at this grid size) and an explicitly forced GMG run, so the
-//! geometric-multigrid cycle — smoothers, restriction, and its
-//! finest-level parallel matvec — stays inside the determinism digest
-//! even if the default pick ever changes.
+//! The DTM pair runs the model's default solver, the geometric
+//! multigrid on every grid, so the V-cycle — smoothers, restriction,
+//! and its finest-level parallel matvec — stays inside the determinism
+//! digest.
 //!
 //! This is the lock on xylem-obs design rule 2 (counters count
 //! deterministic quantities, never wall-clock) and on the solver's
@@ -31,7 +30,6 @@ use xylem_obs::fnv1a;
 use xylem_stack::XylemScheme;
 use xylem_sweep::{run_sweep, SweepOptions, SweepSpec};
 use xylem_thermal::grid::GridSpec;
-use xylem_thermal::solve::{PreconditionerKind, SolverOptions};
 use xylem_workloads::Benchmark;
 
 const CHILD_ENV: &str = "XYLEM_DETERMINISM_CHILD_OUT";
@@ -39,18 +37,6 @@ const CHILD_ENV: &str = "XYLEM_DETERMINISM_CHILD_OUT";
 /// threshold, so the multi-threaded child really exercises the
 /// parallel CSR/stencil path.
 const GRID: usize = 32;
-
-/// Solver override for one digest pair: `None` locks whatever the
-/// model picks for itself; `Some` pins a preconditioner explicitly.
-fn solver_override(tag: &str) -> Option<SolverOptions> {
-    match tag {
-        "gmg" => Some(SolverOptions {
-            preconditioner: PreconditionerKind::Gmg,
-            ..SolverOptions::default()
-        }),
-        _ => None,
-    }
-}
 
 /// Child body for the sweep digest pair: a small but multi-axis batch
 /// through `run_sweep`, with the shard count tied to the thread count
@@ -186,7 +172,7 @@ fn run_child(tag: &str, out_path: &str) {
                 value_c: 40.0,
             },
         ],
-        solver: solver_override(tag),
+        solver: None,
         checkpoint: None,
         deadline_ms: None,
     };
@@ -290,11 +276,6 @@ fn run_pair(test_name: &str, tag: &str) {
 #[test]
 fn dtm_run_is_bit_identical_across_thread_counts() {
     run_pair("dtm_run_is_bit_identical_across_thread_counts", "default");
-}
-
-#[test]
-fn gmg_run_is_bit_identical_across_thread_counts() {
-    run_pair("gmg_run_is_bit_identical_across_thread_counts", "gmg");
 }
 
 #[test]

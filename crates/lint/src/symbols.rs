@@ -47,7 +47,6 @@ pub const UNIT_TYPES: &[&str] = &[
 /// folds are banned here.
 pub const HOT_PATH_SUFFIXES: &[&str] = &[
     "crates/thermal/src/solve.rs",
-    "crates/thermal/src/amg.rs",
     "crates/thermal/src/gmg.rs",
     "crates/thermal/src/csr.rs",
     "crates/thermal/src/stencil.rs",

@@ -160,7 +160,7 @@ mod tests {
         let e = event("step")
             .u64("n", 7)
             .i64("delta", -3)
-            .str("prec", "amg \"v\"")
+            .str("prec", "gmg \"v\"")
             .bool("ok", true)
             .value("extra", Value::Array(vec![Value::U64(1)]));
         let keys: Vec<String> = fields(&e).into_iter().map(|(k, _)| k).collect();

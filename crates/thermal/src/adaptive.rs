@@ -18,7 +18,7 @@
 //! factor, but the result is snapped *down* to the nearest rung. This
 //! keeps the set of distinct operators tiny — step-doubling uses `dt`
 //! and `dt/2`, both rungs — so the model's keyed transient-operator
-//! cache almost always hits instead of re-running AMG setup every step.
+//! cache almost always hits instead of re-running GMG setup every step.
 //! Rung arithmetic is exact (power-of-two scaling), so replaying a
 //! checkpointed controller reproduces the same `dt` sequence bitwise.
 //!

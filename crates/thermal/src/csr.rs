@@ -142,7 +142,7 @@ impl CsrMatrix {
     /// Builds an `n x n` matrix from `(row, col, value)` triplets,
     /// **summing** duplicate positions — the accumulation step of a
     /// Galerkin triple product `P^T A P` with piecewise-constant `P`
-    /// (see [`crate::amg`]). Every row must end up with a diagonal
+    /// (see [`crate::gmg`]). Every row must end up with a diagonal
     /// entry.
     ///
     /// # Panics

@@ -1,7 +1,6 @@
 //! Geometric multigrid preconditioner for the structured stack grid.
 //!
-//! Where [`crate::amg`] discovers its coarse spaces by pairwise matching
-//! on matrix entries, this hierarchy exploits the geometry a
+//! The hierarchy exploits the geometry a
 //! [`crate::model::ThermalModel`] matrix is known to have: `nl` layers
 //! of `nx x ny` cells plus a handful of irregular package tail nodes.
 //!
@@ -11,11 +10,11 @@
 //!   apart in vertical conductance — stays fully resolved on every
 //!   level, so no level ever mixes materials across layer boundaries.
 //!   Tail nodes are carried through unaggregated. Coarse operators come
-//!   from [`crate::amg::galerkin`] with this geometric 0/1 aggregate
-//!   map, which for piecewise-constant restriction *is* the
-//!   rediscretized conductance network on the coarsened cells (parallel
-//!   conductances sum) — one pass over the fine matrix, no
-//!   matrix-matrix product and no matching heuristics.
+//!   from `galerkin` with this geometric 0/1 aggregate map, which for
+//!   piecewise-constant restriction *is* the rediscretized conductance
+//!   network on the coarsened cells (parallel conductances sum) — one
+//!   pass over the fine matrix, no matrix-matrix product and no
+//!   matching heuristics.
 //! * **Only setup reads CSR.** Each level stores its coarse operator as
 //!   a [`StencilOperator`] extracted from the Galerkin CSR, which is
 //!   then dropped (the coarsest one after feeding the envelope factor).
@@ -35,36 +34,35 @@
 //! * **The cycle is a symmetric V(1,1)** — identical pre/post smoothing
 //!   around an over-corrected coarse-grid correction, an exact Cholesky
 //!   solve on the coarsest level — so `M^-1` is symmetric positive
-//!   definite and valid for conjugate gradients, exactly like the AMG
-//!   cycle it plugs in beside (see [`crate::solve`]).
+//!   definite and valid for conjugate gradients (see [`crate::solve`]).
 //! * **The coarsest level is factored over its envelope only**
-//!   ([`crate::amg`]'s envelope Cholesky). In plane-major order that
-//!   level is a band as wide as one plane, plus an arrow of package tail
-//!   rows, so factor and solves skip the zero fill a dense `n x n`
-//!   factor would carry, with bit-identical results.
+//!   (`EnvelopeChol`). In plane-major order that level is a band as
+//!   wide as one plane, plus an arrow of package tail rows, so factor
+//!   and solves skip the zero fill a dense `n x n` factor would carry,
+//!   with bit-identical results.
 //!
-//! Compared to AMG on the same matrix the setup does no matching, no
-//! triple products beyond one summed pass per level, and the z-line
-//! factorization is O(n); apply trades the point-Jacobi sweeps for
-//! tridiagonal solves at the same memory traffic. `BENCH_thermal.json`
-//! records the setup, apply and iteration head-to-head against AMG at
-//! every grid from 16x16 to 128x128.
+//! The setup is one summed Galerkin pass per level plus an O(n) z-line
+//! factorization; one apply costs a few fine-grid matvecs.
+//! `BENCH_thermal.json` records setup and apply at every grid from
+//! 16x16 to 128x128.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, TryLockError};
 
-use crate::amg::{galerkin, lock_scratch, EnvelopeChol};
+use xylem_obs::Counter;
+
 use crate::csr::CsrMatrix;
 use crate::solve::Operator;
 use crate::stencil::StencilOperator;
 
 /// Damping for the z-line block-Jacobi smoother. Block smoothers
-/// tolerate less damping than point Jacobi; 0.9 matches the AMG choice
-/// and is safe for the M-matrices the model produces.
+/// tolerate less damping than point Jacobi; 0.9 is safe for the
+/// M-matrices the model produces.
 const SMOOTH_OMEGA: f64 = 0.9;
 
-/// Scaling applied to the prolonged coarse-grid correction; see
-/// [`crate::amg`] — piecewise-constant aggregation under-corrects and a
-/// fixed scalar > 1 recovers most of it while preserving SPD.
+/// Scaling applied to the prolonged coarse-grid correction.
+/// Piecewise-constant aggregation systematically under-corrects; a
+/// fixed scalar > 1 recovers most of the lost convergence speed while
+/// keeping `M^-1` symmetric positive definite.
 const OVER_CORRECTION: f64 = 1.2;
 
 /// Stop coarsening once a level has at most this many in-plane cells;
@@ -74,6 +72,148 @@ const COARSE_CELLS_MAX: usize = 16;
 
 /// Hard cap on hierarchy depth.
 const MAX_LEVELS: usize = 16;
+
+/// Envelope (profile) Cholesky factorization of the coarsest-level
+/// operator.
+///
+/// Row `i` of `L` is stored only over columns `first[i]..=i`, where
+/// `first[i]` is the row's first stored entry in the lower triangle:
+/// Cholesky fill never reaches left of it, so every entry outside the
+/// envelope is an exact zero of the full factor. The factorization and
+/// both triangular solves are the dense left-looking loops with those
+/// `0 * x` terms skipped and every other term kept in the same order,
+/// so for finite inputs the factor and each solve are bit-identical to
+/// the dense algorithm (the test oracle below) at a fraction of its
+/// cost: the coarsest operator is banded, plus an arrow of package
+/// tail rows.
+#[derive(Debug, Clone)]
+struct EnvelopeChol {
+    /// First column of each row's envelope.
+    first: Vec<usize>,
+    /// Row `i` of `L` is `l[start[i]..start[i + 1]]`, diagonal last.
+    start: Vec<usize>,
+    l: Vec<f64>,
+    /// `below[j]`: the envelope rows under column `j`'s diagonal (rows
+    /// `k > j` with `first[k] <= j`), ascending, the order the back
+    /// solve walks them in.
+    below: Vec<Vec<u32>>,
+}
+
+impl EnvelopeChol {
+    fn factor(a: &CsrMatrix) -> Self {
+        let n = a.n();
+        let first: Vec<usize> = (0..n)
+            .map(|i| a.row(i).0.iter().map(|&j| j as usize).fold(i, usize::min))
+            .collect();
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        for (i, &f) in first.iter().enumerate() {
+            start.push(start[i] + i + 1 - f);
+        }
+        let mut l = vec![0.0f64; start[n]];
+        for i in 0..n {
+            let (cols, vals) = a.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                let j = j as usize;
+                if j <= i {
+                    l[start[i] + j - first[i]] = v;
+                }
+            }
+        }
+        // In-place left-looking Cholesky, row by row; `k` runs only
+        // where both rows are inside their envelopes.
+        for i in 0..n {
+            let fi = first[i];
+            let (done, rest) = l.split_at_mut(start[i]);
+            let row = &mut rest[..i + 1 - fi];
+            for j in fi..=i {
+                let k0 = fi.max(first[j]);
+                let mut sum = row[j - fi];
+                let li = &row[k0 - fi..j - fi];
+                let lj = if j == i {
+                    li
+                } else {
+                    &done[start[j] + k0 - first[j]..start[j] + j - first[j]]
+                };
+                for (lik, ljk) in li.iter().zip(lj) {
+                    sum -= lik * ljk;
+                }
+                row[j - fi] = if j == i {
+                    sum.max(f64::MIN_POSITIVE).sqrt()
+                } else {
+                    sum / done[start[j + 1] - 1]
+                };
+            }
+        }
+        let mut below = vec![Vec::new(); n];
+        for (k, &f) in first.iter().enumerate() {
+            for col in &mut below[f..k] {
+                col.push(k as u32);
+            }
+        }
+        EnvelopeChol {
+            first,
+            start,
+            l,
+            below,
+        }
+    }
+
+    /// Solves `L L^T x = b` in place.
+    fn solve(&self, x: &mut [f64]) {
+        let n = self.first.len();
+        for i in 0..n {
+            let (off, diag) = self.l[self.start[i]..self.start[i + 1]].split_at(i - self.first[i]);
+            let mut sum = x[i];
+            for (lik, xk) in off.iter().zip(&x[self.first[i]..i]) {
+                sum -= lik * xk;
+            }
+            x[i] = sum / diag[0];
+        }
+        for i in (0..n).rev() {
+            let mut sum = x[i];
+            for &k in &self.below[i] {
+                let k = k as usize;
+                sum -= self.l[self.start[k] + i - self.first[k]] * x[k];
+            }
+            x[i] = sum / self.l[self.start[i + 1] - 1];
+        }
+    }
+}
+
+/// Locks the hierarchy's V-cycle scratch. An apply that finds the
+/// scratch held by another thread (two sessions stepping one shared
+/// model) counts one [`Counter::PrecScratchWaits`] before it blocks.
+///
+/// # Panics
+///
+/// Panics if the mutex is poisoned (a prior apply panicked mid-cycle).
+fn lock_scratch<T>(scratch: &Mutex<T>) -> MutexGuard<'_, T> {
+    match scratch.try_lock() {
+        Ok(guard) => guard,
+        Err(TryLockError::WouldBlock) => {
+            xylem_obs::incr(Counter::PrecScratchWaits);
+            scratch.lock().expect("multigrid scratch poisoned")
+        }
+        Err(TryLockError::Poisoned(_)) => panic!("multigrid scratch poisoned"),
+    }
+}
+
+/// Galerkin product `P^T A P` for piecewise-constant `P` given by the
+/// aggregate map: sums fine entries per (coarse row, coarse col) pair.
+/// For a 0/1 restriction this is identical to rediscretizing the
+/// conductance network on the aggregated cells.
+fn galerkin(a: &CsrMatrix, agg: &[u32], n_coarse: usize) -> CsrMatrix {
+    let mut triplets = Vec::with_capacity(a.nnz());
+    for i in 0..a.n() {
+        let ci = agg[i];
+        let (cols, vals) = a.row(i);
+        for (&j, &v) in cols.iter().zip(vals) {
+            triplets.push((ci, agg[j as usize], v));
+        }
+    }
+    CsrMatrix::from_triplets_summed(n_coarse, &triplets)
+}
 
 /// One level: the fine-side smoother factors, the geometric aggregate
 /// map, and the rediscretized coarse operator in stencil form.
@@ -123,8 +263,8 @@ pub struct GmgHierarchy {
     nl: usize,
     levels: Vec<GmgLevel>,
     coarse: EnvelopeChol,
-    /// Interior-mutable so `apply` can take `&self` like the other
-    /// preconditioners. One solve applies the hierarchy serially, but a
+    /// Interior-mutable so `apply` can take `&self` like the Jacobi
+    /// preconditioner. One solve applies the hierarchy serially, but a
     /// model shared across threads is applied concurrently: serve shares
     /// one `ThermalModel`, and its cached transient operators, across
     /// the sessions of one source, so two workers stepping such sessions
@@ -459,6 +599,152 @@ mod tests {
             diagonal[i] = s;
         }
         CsrMatrix::from_adjacency(&nbrs, &diagonal)
+    }
+
+    /// 1D Poisson-like SPD matrix with an ambient leak on the diagonal.
+    fn tridiag(n: usize) -> CsrMatrix {
+        let mut adjacency: Vec<Vec<(u32, f64)>> = vec![Vec::new(); n];
+        let mut diagonal = vec![0.1; n];
+        for i in 0..n {
+            if i + 1 < n {
+                adjacency[i].push((i as u32 + 1, 1.0));
+                adjacency[i + 1].push((i as u32, 1.0));
+            }
+        }
+        for (i, row) in adjacency.iter().enumerate() {
+            diagonal[i] += row.iter().map(|&(_, g)| g).sum::<f64>();
+        }
+        CsrMatrix::from_adjacency(&adjacency, &diagonal)
+    }
+
+    /// The dense left-looking Cholesky the envelope factor replaced,
+    /// kept as its bitwise oracle: full `n x n` storage, every `k`.
+    struct DenseChol {
+        n: usize,
+        l: Vec<f64>,
+    }
+
+    impl DenseChol {
+        fn factor(a: &CsrMatrix) -> Self {
+            let n = a.n();
+            let mut m = vec![0.0f64; n * n];
+            for i in 0..n {
+                let (cols, vals) = a.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    m[i * n + j as usize] = v;
+                }
+            }
+            for i in 0..n {
+                for j in 0..=i {
+                    let mut sum = m[i * n + j];
+                    for k in 0..j {
+                        sum -= m[i * n + k] * m[j * n + k];
+                    }
+                    if i == j {
+                        m[i * n + j] = sum.max(f64::MIN_POSITIVE).sqrt();
+                    } else {
+                        m[i * n + j] = sum / m[j * n + j];
+                    }
+                }
+            }
+            DenseChol { n, l: m }
+        }
+
+        fn solve(&self, x: &mut [f64]) {
+            let n = self.n;
+            for i in 0..n {
+                let row = &self.l[i * n..i * n + i];
+                let mut sum = x[i];
+                for (lik, xk) in row.iter().zip(&*x) {
+                    sum -= lik * xk;
+                }
+                x[i] = sum / self.l[i * n + i];
+            }
+            for i in (0..n).rev() {
+                let mut sum = x[i];
+                for (k, xk) in x.iter().enumerate().take(n).skip(i + 1) {
+                    sum -= self.l[k * n + i] * xk;
+                }
+                x[i] = sum / self.l[i * n + i];
+            }
+        }
+    }
+
+    /// Coarsest GMG operator of a small paper-like stack: banded
+    /// z-stacked planes plus the package tail rows (an arrow).
+    fn gmg_coarsest_with_tail_rows() -> CsrMatrix {
+        use crate::grid::GridSpec;
+        use crate::layer::Layer;
+        use crate::material::{D2D_AVERAGE, SILICON};
+        use crate::package::Package;
+        use crate::stack::Stack;
+        let die = 8e-3;
+        let stack = Stack::builder(die, die)
+            .package(Package::default_for_die(die, die))
+            .layer(Layer::uniform("si", 100e-6, SILICON.clone()))
+            .layer(Layer::uniform("d2d", 20e-6, D2D_AVERAGE.clone()))
+            .layer(Layer::uniform("proc", 100e-6, SILICON.clone()))
+            .build()
+            .unwrap();
+        let model = stack.discretize(GridSpec::new(16, 16)).unwrap();
+        let h = GmgHierarchy::build(model.csr(), 16, 16, 6).unwrap();
+        let coarsest = h.coarsest_operator(model.csr());
+        assert!(coarsest.n() > 6 * 16, "coarsest level keeps the tail rows");
+        coarsest
+    }
+
+    #[test]
+    fn dense_cholesky_solves_exactly() {
+        for a in [tridiag(12), gmg_coarsest_with_tail_rows()] {
+            let n = a.n();
+            let chol = EnvelopeChol::factor(&a);
+            let dense = DenseChol::factor(&a);
+            // The factor matches the dense one bit for bit, and
+            // everything left of the envelope is an exact +0.
+            for i in 0..n {
+                for j in 0..=i {
+                    let want = dense.l[i * n + j].to_bits();
+                    let got = if j < chol.first[i] {
+                        0.0f64.to_bits()
+                    } else {
+                        chol.l[chol.start[i] + j - chol.first[i]].to_bits()
+                    };
+                    assert_eq!(got, want, "n={n}: L[{i}][{j}]");
+                }
+            }
+            let x_true: Vec<f64> = (0..n).map(|i| (i as f64).sin() + 2.0).collect();
+            let mut b = vec![0.0; n];
+            a.matvec_serial(&x_true, &mut b);
+            let mut x = b.clone();
+            chol.solve(&mut x);
+            let mut x_dense = b.clone();
+            dense.solve(&mut x_dense);
+            for (got, want) in x.iter().zip(&x_dense) {
+                assert_eq!(got.to_bits(), want.to_bits(), "n={n}: solve differs");
+            }
+            for (got, want) in x.iter().zip(&x_true) {
+                assert!((got - want).abs() < 1e-8, "n={n}: {got} vs {want}");
+            }
+        }
+    }
+
+    #[test]
+    fn galerkin_preserves_symmetry_and_spd_diagonal() {
+        // Pairs of neighbouring nodes, plus a trailing singleton.
+        let a = tridiag(63);
+        let agg: Vec<u32> = (0..63).map(|i| i / 2).collect();
+        let c = galerkin(&a, &agg, 32);
+        assert_eq!(c.n(), 32);
+        for i in 0..32 {
+            let (cols, vals) = c.row(i);
+            for (&j, &v) in cols.iter().zip(vals) {
+                // Symmetric: find (j, i).
+                let (jc, jv) = c.row(j as usize);
+                let pos = jc.iter().position(|&k| k == i as u32).expect("symmetric");
+                assert!((jv[pos] - v).abs() < 1e-12);
+            }
+            assert!(c.row(i).1[c.diag_pos(i)] > 0.0);
+        }
     }
 
     #[test]

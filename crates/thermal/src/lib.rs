@@ -22,9 +22,10 @@
 //!   convection to ambient.
 //!
 //! Steady-state temperatures solve `G T = P` (conductance matrix, power
-//! vector) by grid-mode PCG over the stencil/CSR operator, with the
-//! fallback ladder GMG -> AMG -> Jacobi; transients use backward Euler.
-//! See [`solve`].
+//! vector) by conjugate gradients over the matrix-free stencil operator,
+//! preconditioned by a geometric multigrid V-cycle, with one Jacobi
+//! retry when a solve fails; transients use backward Euler. See
+//! [`solve`] and [`gmg`].
 //!
 //! # Example
 //!
@@ -64,7 +65,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
-pub mod amg;
 pub mod analytic;
 pub mod csr;
 pub mod error;

@@ -57,13 +57,12 @@ pub struct ThermalModel {
     capacitance: Vec<f64>,
     /// The conductance matrix lowered to flat CSR at build time (the
     /// node graph is assembled as a local adjacency list and dropped);
-    /// every solve runs over this or its stencil view.
+    /// preconditioner setup reads it.
     csr: CsrMatrix,
     /// Matrix-free structured-grid view of `csr` (coefficient planes, no
-    /// column indices in the inner loop), extracted at build time when
-    /// the node graph matches the 7-point layout. Grids built here always
-    /// do; `None` guards future irregular topologies.
-    stencil: Option<StencilOperator>,
+    /// column indices in the inner loop), extracted at build time; every
+    /// solve multiplies through it.
+    stencil: StencilOperator,
     /// Steady-state preconditioner for `csr` per the current solver
     /// options, built by the first steady solve: transient-only users
     /// (DTM loops, serve sessions) never pay for it. A clone taken after
@@ -87,27 +86,17 @@ struct TransientOp {
     kind: PreconditionerKind,
     a: CsrMatrix,
     /// Stencil view of `a` — the diagonal-patched clone of the model's
-    /// stencil, so transient solves, and the finest level of their GMG
-    /// V-cycles, keep the matrix-free fast path.
-    stencil: Option<StencilOperator>,
+    /// stencil, which transient solves, and the finest level of their
+    /// GMG V-cycles, multiply through.
+    stencil: StencilOperator,
     prec: Preconditioner,
 }
-
-/// Grid size (cells per layer) from which a freshly built model defaults
-/// to the geometric multigrid preconditioner; smaller grids keep AMG.
-/// The threshold was set when GMG factored its coarsest level densely
-/// and lost on setup at small power-of-two grids. With the envelope
-/// factor, `BENCH_thermal.json`'s head-to-head rows show GMG ahead on
-/// setup, apply and iterations at 16x16 too; dropping the threshold is
-/// a change of its own, since it moves every small-grid result within
-/// the solver tolerance.
-const GMG_MIN_CELLS: usize = 1024;
 
 /// Builds the preconditioner for `kind` over `a`, supplying the grid
 /// geometry the geometric hierarchy needs. When `kind` is
 /// [`PreconditionerKind::Gmg`] but the hierarchy cannot be built (a
-/// matrix whose shape does not match the grid), falls back to
-/// [`Preconditioner::build`], which degrades GMG to AMG.
+/// coarse level that is not stencil-shaped), builds Jacobi instead;
+/// [`Preconditioner::kind`] reports which one it is.
 fn build_prec_for(
     a: &CsrMatrix,
     grid: GridSpec,
@@ -115,12 +104,11 @@ fn build_prec_for(
     kind: PreconditionerKind,
 ) -> Preconditioner {
     xylem_obs::incr(Counter::PreconditionerBuilds);
-    if kind == PreconditionerKind::Gmg {
-        if let Some(p) = Preconditioner::build_gmg(a, grid.nx(), grid.ny(), n_layers) {
-            return p;
-        }
+    match kind {
+        PreconditionerKind::Jacobi => Preconditioner::jacobi(a),
+        PreconditionerKind::Gmg => Preconditioner::build_gmg(a, grid.nx(), grid.ny(), n_layers)
+            .unwrap_or_else(|| Preconditioner::jacobi(a)),
     }
-    Preconditioner::build(a, kind)
 }
 
 /// Slots in the keyed transient-operator cache. Adaptive step-doubling
@@ -158,7 +146,8 @@ impl ThermalModel {
     /// # Errors
     ///
     /// Propagates floorplan/rasterization errors; returns
-    /// [`ThermalError::BadStack`] for impossible geometry.
+    /// [`ThermalError::BadStack`] for impossible geometry or a node graph
+    /// that is not the 7-point stencil layout.
     pub fn build(stack: &Stack, grid: GridSpec) -> Result<Self, ThermalError> {
         let (w, h) = (stack.width(), stack.height());
         let pkg = stack.package();
@@ -368,24 +357,15 @@ impl ThermalModel {
             });
         }
 
-        // Lower the node graph into flat CSR (the one stored operator; the
-        // adjacency list is dropped here) and extract the structured
-        // stencil view; every solve afterwards reuses both. Large grids
-        // default to the geometric multigrid preconditioner, which needs
-        // the stencil geometry; small ones keep AMG (see
-        // [`GMG_MIN_CELLS`]).
+        // Lower the node graph into flat CSR (the adjacency list is
+        // dropped here) and extract the structured stencil view; every
+        // solve afterwards multiplies through the stencil.
         let csr = CsrMatrix::from_adjacency(&neighbors, &diagonal);
         drop(neighbors);
-        let stencil = StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers);
-        let preconditioner = if cells >= GMG_MIN_CELLS && stencil.is_some() {
-            PreconditionerKind::Gmg
-        } else {
-            SolverOptions::default().preconditioner
-        };
-        let solver_options = SolverOptions {
-            preconditioner,
-            ..SolverOptions::default()
-        };
+        let stencil = StencilOperator::from_csr(&csr, grid.nx(), grid.ny(), n_solver_layers)
+            .ok_or_else(|| ThermalError::BadStack {
+                reason: "node graph is not the 7-point stencil layout".into(),
+            })?;
 
         Ok(ThermalModel {
             grid,
@@ -402,7 +382,7 @@ impl ThermalModel {
             ambient: pkg.ambient(),
             block_weights,
             block_names,
-            solver_options,
+            solver_options: SolverOptions::default(),
         })
     }
 
@@ -514,16 +494,15 @@ impl ThermalModel {
         &self.csr
     }
 
-    /// The matrix-free structured-grid view of the conductance matrix,
-    /// when the node graph matched the 7-point layout at build time.
-    pub fn stencil(&self) -> Option<&StencilOperator> {
-        self.stencil.as_ref()
+    /// The matrix-free structured-grid view of the conductance matrix.
+    pub fn stencil(&self) -> &StencilOperator {
+        &self.stencil
     }
 
-    /// The steady-state operator, routed through the fastest matvec
-    /// backend available (stencil sweeps when extracted, CSR otherwise).
+    /// The steady-state operator: stencil sweeps, with the CSR for
+    /// preconditioner setup.
     fn operator(&self) -> Operator<'_> {
-        Operator::with_stencil(&self.csr, self.stencil.as_ref())
+        Operator::with_stencil(&self.csr, &self.stencil)
     }
 
     /// Current solver options.
@@ -792,7 +771,7 @@ impl ThermalModel {
         }
         let patch: Vec<f64> = self.capacitance.iter().map(|c| c / dt).collect();
         let a = self.csr.with_diagonal_added(&patch);
-        let stencil = self.stencil.as_ref().map(|s| s.with_diagonal_added(&patch));
+        let stencil = self.stencil.with_diagonal_added(&patch);
         let prec = build_prec_for(&a, self.grid, 3 + self.n_user_layers, kind);
         let op = Arc::new(TransientOp {
             dt,
@@ -814,7 +793,7 @@ impl ThermalModel {
         f: impl FnOnce(Operator<'_>, &Preconditioner) -> R,
     ) -> R {
         let op = self.transient_op(dt);
-        f(Operator::with_stencil(&op.a, op.stencil.as_ref()), &op.prec)
+        f(Operator::with_stencil(&op.a, &op.stencil), &op.prec)
     }
 
     /// One backward-Euler step of `dt` seconds, in place: forms the BE
@@ -1290,7 +1269,7 @@ mod tests {
     #[test]
     fn warm_started_steady_state_matches_cold() {
         let mut m = model(8);
-        // Jacobi: on a model this small the default AMG solve is
+        // Jacobi: on a model this small the default GMG solve is
         // already near the iteration floor cold, leaving no headroom
         // for the warm start to show up in the count.
         m.set_solver_options(SolverOptions {
@@ -1341,11 +1320,7 @@ mod tests {
         let mut p = PowerMap::zeros(&m);
         p.add_uniform_layer_power(2, Watts::new(9.0));
         let mut fields = Vec::new();
-        for kind in [
-            PreconditionerKind::Jacobi,
-            PreconditionerKind::Amg,
-            PreconditionerKind::Gmg,
-        ] {
+        for kind in [PreconditionerKind::Jacobi, PreconditionerKind::Gmg] {
             let mut opts = *m.solver_options();
             opts.preconditioner = kind;
             m.set_solver_options(opts);

@@ -31,25 +31,26 @@
 //!
 //! # Preconditioners
 //!
-//! [`PreconditionerKind`] selects between Jacobi (diagonal scaling), an
-//! aggregation-based algebraic multigrid V-cycle (see [`crate::amg`]),
-//! and a geometric multigrid V-cycle built from the structured grid
-//! description (see [`crate::gmg`]; only buildable when the geometry is
-//! known, so [`Preconditioner::build_gmg`] is its entry point). On the
-//! RC network's strongly anisotropic conductance structure Jacobi needs
-//! ~400 iterations at 64x64; the multigrids land at a few dozen
-//! iterations for a few matvec-equivalents per apply. Jacobi stays as
-//! the last rung of the [`FALLBACK_LADDER`]: it has no setup to fail
-//! and converges on anything SPD.
+//! [`PreconditionerKind`] selects between the geometric multigrid
+//! V-cycle built from the structured grid description (see
+//! [`crate::gmg`]; it needs the geometry, so
+//! [`Preconditioner::build_gmg`] is its entry point) and Jacobi
+//! diagonal scaling ([`Preconditioner::jacobi`], the only choice for a
+//! bare matrix). On the RC network's strongly anisotropic conductance
+//! structure Jacobi needs ~400 iterations at 64x64; the multigrid lands
+//! at a few dozen iterations for a few matvec-equivalents per apply.
+//! Jacobi is also the one fallback step of [`solve_cg_resilient`]: it
+//! has no setup to fail and converges on anything SPD.
 //!
 //! # Operators
 //!
 //! The CG loop itself only needs a matvec, so [`solve_cg`] and
-//! [`solve_cg_resilient`] run on an [`Operator`]: the CSR matrix plus an
-//! optional matrix-free [`StencilOperator`](crate::stencil) fast path
-//! whose sweeps are bit-identical to the CSR kernel. A bare matrix is
-//! [`Operator::csr`]. The preconditioner apply takes the same operator,
-//! so the GMG V-cycle's finest-level matvecs run on the stencil too.
+//! [`solve_cg_resilient`] run on an [`Operator`]: a model's matrix-free
+//! [`StencilOperator`](crate::stencil) next to the CSR it was extracted
+//! from, or a bare CSR matrix ([`Operator::csr`]), whose kernel the
+//! stencil sweeps match bit for bit. The preconditioner apply takes the
+//! same operator, so the GMG V-cycle's finest-level matvecs run on the
+//! stencil too.
 
 use serde::{Deserialize, Serialize};
 
@@ -64,17 +65,10 @@ pub enum PreconditionerKind {
     /// Diagonal (Jacobi) scaling: cheapest per iteration, most
     /// iterations.
     Jacobi,
-    /// Aggregation-based algebraic multigrid V-cycle (the default).
-    /// One-time hierarchy setup at model build; an order of magnitude
-    /// fewer CG iterations than Jacobi at a few matvec-equivalents per
-    /// apply. See [`crate::amg`].
-    Amg,
-    /// Geometric multigrid V-cycle over the structured stack grid:
-    /// in-plane semicoarsening with z-line block-Jacobi smoothing. Needs
-    /// the grid geometry, so it is built via
-    /// [`Preconditioner::build_gmg`]; [`Preconditioner::build`] (which
-    /// only sees a bare matrix) degrades it to [`PreconditionerKind::Amg`].
-    /// See [`crate::gmg`].
+    /// Geometric multigrid V-cycle over the structured stack grid (the
+    /// default): in-plane semicoarsening with z-line block-Jacobi
+    /// smoothing. Needs the grid geometry, so it is built via
+    /// [`Preconditioner::build_gmg`]. See [`crate::gmg`].
     Gmg,
 }
 
@@ -89,10 +83,8 @@ pub struct SolverOptions {
     pub max_iterations: usize,
     /// Which preconditioner to build and apply.
     pub preconditioner: PreconditionerKind,
-    /// Whether [`solve_cg_resilient`] may escalate down the fallback
-    /// ladder (GMG -> AMG -> Jacobi) when the configured solve fails,
-    /// instead of surfacing
-    /// [`ThermalError::NoConvergence`].
+    /// Whether [`solve_cg_resilient`] may retry a failed GMG solve on
+    /// Jacobi instead of surfacing [`ThermalError::NoConvergence`].
     pub fallback: bool,
 }
 
@@ -101,26 +93,14 @@ impl Default for SolverOptions {
         SolverOptions {
             tolerance: 1e-9,
             max_iterations: 20_000,
-            preconditioner: PreconditionerKind::Amg,
+            preconditioner: PreconditionerKind::Gmg,
             fallback: true,
         }
     }
 }
 
-/// Fallback escalation order: each rung is cheaper to set up and more
-/// numerically conservative than the one before it. A solve configured
-/// at rung `k` escalates through rungs `k+1..` — so a failed GMG solve
-/// retries on AMG first (the algebraic hierarchy needs no geometry and
-/// tolerates matrices GMG's structural assumptions misread), and every
-/// configured kind ends at plain Jacobi.
-pub const FALLBACK_LADDER: [PreconditionerKind; 3] = [
-    PreconditionerKind::Gmg,
-    PreconditionerKind::Amg,
-    PreconditionerKind::Jacobi,
-];
-
-/// Iteration budget every fallback rung gets at minimum, regardless of
-/// how tight the configured cap was: a rung exists to rescue the solve,
+/// Iteration budget the Jacobi retry gets at minimum, regardless of how
+/// tight the configured cap was: the retry exists to rescue the solve,
 /// so it must not inherit a cap that already proved too small.
 const FALLBACK_MIN_ITERATIONS: usize = 20_000;
 
@@ -188,17 +168,18 @@ fn deadline_expired() -> bool {
 /// report without bound).
 const MAX_RECORDED_EVENTS: usize = 64;
 
-/// The relaxed first-pass tolerance a fallback rung converges to before
+/// The relaxed first-pass tolerance the Jacobi retry converges to before
 /// re-tightening to the requested tolerance: three decades looser,
 /// never looser than 1e-4, never looser than the request itself allows.
 fn relaxed_tolerance(tolerance: f64) -> f64 {
     (tolerance * 1e3).min(1e-4).max(tolerance)
 }
 
-/// One fallback-ladder recovery attempt.
+/// One fallback recovery attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct RecoveryEvent {
-    /// Preconditioner rung the retry ran on.
+    /// Preconditioner the retry ran on (always Jacobi; the field keeps
+    /// the serialized report layout stable).
     pub rung: PreconditionerKind,
     /// Tolerance of the relaxed first pass.
     pub relaxed_tolerance: f64,
@@ -321,8 +302,6 @@ pub enum Preconditioner {
         /// `1 / a_ii` per row.
         inv_diag: Vec<f64>,
     },
-    /// Aggregation AMG hierarchy; one apply is a symmetric V(1,1) cycle.
-    Amg(Box<crate::amg::AmgHierarchy>),
     /// Geometric multigrid hierarchy over the structured stack grid;
     /// one apply is a symmetric V(1,1) cycle with z-line smoothing.
     Gmg(Box<crate::gmg::GmgHierarchy>),
@@ -334,7 +313,6 @@ impl PreconditionerKind {
     pub fn label(self) -> &'static str {
         match self {
             PreconditionerKind::Jacobi => "jacobi",
-            PreconditionerKind::Amg => "amg",
             PreconditionerKind::Gmg => "gmg",
         }
     }
@@ -346,27 +324,17 @@ impl Preconditioner {
     pub fn kind(&self) -> PreconditionerKind {
         match self {
             Preconditioner::Jacobi { .. } => PreconditionerKind::Jacobi,
-            Preconditioner::Amg(_) => PreconditionerKind::Amg,
             Preconditioner::Gmg(_) => PreconditionerKind::Gmg,
         }
     }
 
-    /// Builds the selected preconditioner for `a`.
-    ///
-    /// [`PreconditionerKind::Gmg`] needs grid geometry a bare matrix
-    /// does not carry, so this constructor degrades it to the algebraic
-    /// hierarchy ([`PreconditionerKind::Amg`] — the next fallback rung);
-    /// callers that know the geometry use
-    /// [`Preconditioner::build_gmg`] instead.
+    /// The Jacobi preconditioner of `a`: the only one a bare matrix can
+    /// get, since the multigrid needs the grid geometry
+    /// ([`Preconditioner::build_gmg`]).
     #[must_use]
-    pub fn build(a: &CsrMatrix, kind: PreconditionerKind) -> Self {
-        match kind {
-            PreconditionerKind::Jacobi => Preconditioner::Jacobi {
-                inv_diag: a.diagonal().iter().map(|d| 1.0 / d).collect(),
-            },
-            PreconditionerKind::Amg | PreconditionerKind::Gmg => {
-                Preconditioner::Amg(Box::new(crate::amg::AmgHierarchy::build(a)))
-            }
+    pub fn jacobi(a: &CsrMatrix) -> Self {
+        Preconditioner::Jacobi {
+            inv_diag: a.diagonal().iter().map(|d| 1.0 / d).collect(),
         }
     }
 
@@ -415,10 +383,6 @@ impl Preconditioner {
                 }
                 Some(reduce_pairwise(partials))
             }
-            Preconditioner::Amg(h) => {
-                h.apply(a.matrix(), r, z);
-                None
-            }
             Preconditioner::Gmg(h) => {
                 h.apply(a, r, z);
                 None
@@ -427,11 +391,12 @@ impl Preconditioner {
     }
 }
 
-/// The linear operator a CG solve runs on: the CSR matrix plus an
-/// optional matrix-free stencil fast path. The stencil's sweeps are
-/// bit-identical to the CSR kernel (see [`crate::stencil`]), so which
-/// backend an [`Operator`] dispatches to is purely a performance
-/// choice — residual histories and solutions do not change by a ULP.
+/// The linear operator a CG solve runs on: a model's matrix-free
+/// stencil next to the CSR it was extracted from, or a bare CSR matrix.
+/// The stencil's sweeps are bit-identical to the CSR kernel (see
+/// [`crate::stencil`]), so the bare-matrix form is the bitwise
+/// reference for the stencil one — residual histories and solutions do
+/// not change by a ULP.
 #[derive(Debug, Clone, Copy)]
 pub struct Operator<'a> {
     csr: &'a CsrMatrix,
@@ -439,7 +404,7 @@ pub struct Operator<'a> {
 }
 
 impl<'a> Operator<'a> {
-    /// A CSR-only operator.
+    /// A bare matrix: every matvec runs on the CSR kernel.
     #[must_use]
     pub fn csr(a: &'a CsrMatrix) -> Self {
         Operator {
@@ -448,22 +413,24 @@ impl<'a> Operator<'a> {
         }
     }
 
-    /// An operator with an optional stencil fast path. The stencil, if
-    /// present, must have been extracted from exactly this matrix
-    /// ([`StencilOperator::from_csr`]).
+    /// A stencil and the matrix it was extracted from
+    /// ([`StencilOperator::from_csr`]): every matvec runs on the
+    /// stencil, and only preconditioner setup reads the CSR.
     #[must_use]
-    pub fn with_stencil(a: &'a CsrMatrix, stencil: Option<&'a StencilOperator>) -> Self {
-        Operator { csr: a, stencil }
+    pub fn with_stencil(a: &'a CsrMatrix, stencil: &'a StencilOperator) -> Self {
+        Operator {
+            csr: a,
+            stencil: Some(stencil),
+        }
     }
 
-    /// The CSR form (preconditioner setup and the AMG V-cycle read
-    /// this).
+    /// The CSR form (preconditioner setup reads this).
     #[must_use]
     pub fn matrix(&self) -> &'a CsrMatrix {
         self.csr
     }
 
-    /// `y = A x` through the fastest available backend.
+    /// `y = A x`: on the stencil when there is one, else on the CSR.
     pub(crate) fn matvec(&self, x: &[f64], y: &mut [f64]) {
         match self.stencil {
             Some(s) => s.matvec(x, y),
@@ -472,12 +439,10 @@ impl<'a> Operator<'a> {
     }
 }
 
-/// Solves `A x = b` by preconditioned conjugate gradient over `op`,
-/// with the matvec dispatched through the stencil fast path when one is
-/// attached ([`Operator::csr`] for a bare matrix).
+/// Solves `A x = b` by preconditioned conjugate gradient over `op`.
 ///
 /// * `prec` must have been built for exactly `op.matrix()`
-///   ([`Preconditioner::build`]);
+///   ([`Preconditioner::build_gmg`] or [`Preconditioner::jacobi`]);
 /// * `x` holds the initial guess on entry (warm starts welcome — a guess
 ///   near the solution directly cuts iterations) and the solution on
 ///   exit;
@@ -652,28 +617,28 @@ fn solution_is_finite(x: &[f64]) -> bool {
     x.iter().all(|v| v.is_finite())
 }
 
-/// [`solve_cg`] wrapped in the fallback ladder: on
+/// [`solve_cg`] with one fallback step: when a multigrid solve ends in
 /// [`ThermalError::NoConvergence`] — or a nominally converged solution
-/// containing non-finite values — the solve escalates through the
-/// [`FALLBACK_LADDER`] rungs after `options.preconditioner`, each one
-/// cold-restarting from the entry iterate, first converging to a
-/// relaxed tolerance ([`relaxed_tolerance`]) and then re-tightening to
-/// the requested one. Every rung attempt lands in `report`, so callers
-/// observe degraded-mode solves instead of hard errors.
+/// containing non-finite values — it retries once on Jacobi, which has
+/// no setup to fail and converges on anything SPD. The retry
+/// cold-restarts from the entry iterate, first converging to a relaxed
+/// tolerance ([`relaxed_tolerance`]) and then re-tightening to the
+/// requested one, and lands in `report`, so callers observe
+/// degraded-mode solves instead of hard errors. A failed Jacobi solve
+/// has no further step.
 ///
 /// With `options.fallback == false` this is exactly [`solve_cg`].
 ///
-/// Every matvec goes through `op` (stencil fast path included); rung
-/// preconditioners are rebuilt from `op.matrix()`.
+/// Every matvec goes through `op`; the Jacobi retry reads its diagonal
+/// from `op.matrix()`.
 ///
 /// The returned [`SolveStats`] count iterations across the failed
-/// attempt and all rungs tried; the residual is the final (recovered)
-/// one.
+/// attempt and the retry; the residual is the final (recovered) one.
 ///
 /// # Errors
 ///
-/// [`ThermalError::NoConvergence`] only when every rung of the ladder
-/// has failed.
+/// [`ThermalError::NoConvergence`] when the retry fails too, or when
+/// the failed solve already ran on Jacobi.
 #[allow(clippy::too_many_arguments)]
 pub fn solve_cg_resilient(
     op: Operator<'_>,
@@ -687,8 +652,8 @@ pub fn solve_cg_resilient(
     if !options.fallback {
         return solve_cg(op, prec, b, x, ws, options);
     }
-    // Back up the entry iterate so rungs can cold-restart from it. The
-    // buffer is workspace-owned: no allocation once it has grown.
+    // Back up the entry iterate so the retry can cold-restart from it.
+    // The buffer is workspace-owned: no allocation once it has grown.
     let mut x0 = std::mem::take(&mut ws.x0);
     x0.clear();
     x0.extend_from_slice(x);
@@ -717,126 +682,104 @@ pub fn solve_cg_resilient(
             return Err(other);
         }
     };
+    let from = prec.kind();
+    if from == PreconditionerKind::Jacobi {
+        ws.x0 = x0;
+        return Err(ThermalError::NoConvergence {
+            iterations: total_iters,
+            residual: last_residual,
+            tolerance: options.tolerance,
+        });
+    }
 
-    let start = FALLBACK_LADDER
-        .iter()
-        .position(|&k| k == options.preconditioner)
-        .map_or(0, |p| p + 1);
+    x.copy_from_slice(&x0);
+    xylem_obs::incr(xylem_obs::Counter::PreconditionerBuilds);
+    let jacobi = Preconditioner::jacobi(op.matrix());
     let relaxed = relaxed_tolerance(options.tolerance);
-    let rung_cap = options.max_iterations.max(FALLBACK_MIN_ITERATIONS);
-    let mut recovered_stats = None;
-    for &kind in &FALLBACK_LADDER[start..] {
-        x.copy_from_slice(&x0);
-        xylem_obs::incr(xylem_obs::Counter::PreconditionerBuilds);
-        let rung_prec = Preconditioner::build(op.matrix(), kind);
-        let mut rung_iters = 0usize;
-        let mut rung_residual = f64::INFINITY;
-        let mut rung_ok = false;
-
-        let loose = SolverOptions {
-            tolerance: relaxed,
-            max_iterations: rung_cap,
-            preconditioner: kind,
-            fallback: false,
-        };
-        match solve_cg(op, &rung_prec, b, x, ws, &loose) {
+    let loose = SolverOptions {
+        tolerance: relaxed,
+        max_iterations: options.max_iterations.max(FALLBACK_MIN_ITERATIONS),
+        preconditioner: PreconditionerKind::Jacobi,
+        fallback: false,
+    };
+    let tight = SolverOptions {
+        tolerance: options.tolerance,
+        ..loose
+    };
+    let mut retry_iters = 0usize;
+    let mut retry_residual = f64::INFINITY;
+    let mut recovered = false;
+    // The relaxed pass, then the re-tightening pass from its solution.
+    for (pass, last) in [(&loose, false), (&tight, true)] {
+        match solve_cg(op, &jacobi, b, x, ws, pass) {
             Ok(s) if solution_is_finite(x) => {
-                rung_iters += s.iterations;
-                // Re-tighten: continue from the relaxed solution down to
-                // the requested tolerance.
-                let tight = SolverOptions {
-                    tolerance: options.tolerance,
-                    ..loose
-                };
-                match solve_cg(op, &rung_prec, b, x, ws, &tight) {
-                    Ok(t) if solution_is_finite(x) => {
-                        rung_iters += t.iterations;
-                        rung_residual = t.residual;
-                        rung_ok = true;
-                    }
-                    Ok(t) => {
-                        rung_iters += t.iterations;
-                    }
-                    Err(ThermalError::NoConvergence {
-                        iterations,
-                        residual,
-                        ..
-                    }) => {
-                        rung_iters += iterations;
-                        rung_residual = residual;
-                    }
-                    Err(e @ ThermalError::DeadlineExceeded { .. }) => {
-                        // The deadline applies to the whole solve, not
-                        // one rung: stop escalating, hand the entry
-                        // iterate back untouched.
-                        x.copy_from_slice(&x0);
-                        ws.x0 = x0;
-                        return Err(e);
-                    }
-                    Err(_) => {}
+                retry_iters += s.iterations;
+                if last {
+                    retry_residual = s.residual;
+                    recovered = true;
                 }
             }
             Ok(s) => {
-                rung_iters += s.iterations;
+                retry_iters += s.iterations;
+                break;
             }
             Err(ThermalError::NoConvergence {
                 iterations,
                 residual,
                 ..
             }) => {
-                rung_iters += iterations;
-                rung_residual = residual;
+                retry_iters += iterations;
+                retry_residual = residual;
+                break;
             }
             Err(e @ ThermalError::DeadlineExceeded { .. }) => {
+                // The deadline applies to the whole solve: hand the
+                // entry iterate back untouched.
                 x.copy_from_slice(&x0);
                 ws.x0 = x0;
                 return Err(e);
             }
-            Err(_) => {}
-        }
-
-        total_iters += rung_iters;
-        if rung_residual.is_finite() {
-            last_residual = rung_residual;
-        }
-        xylem_obs::incr(xylem_obs::Counter::SolveFallbacks);
-        if rung_ok {
-            xylem_obs::incr(xylem_obs::Counter::SolveRecoveries);
-        }
-        if xylem_obs::enabled() {
-            xylem_obs::event("solve_fallback")
-                .str("from", options.preconditioner.label())
-                .str("rung", kind.label())
-                .f64("relaxed_tolerance", relaxed)
-                .u64("iters", rung_iters as u64)
-                .f64("residual", rung_residual)
-                .bool("recovered", rung_ok)
-                .emit();
-        }
-        report.record(RecoveryEvent {
-            rung: kind,
-            relaxed_tolerance: relaxed,
-            iterations: rung_iters,
-            residual: rung_residual,
-            recovered: rung_ok,
-        });
-        if rung_ok {
-            recovered_stats = Some(SolveStats {
-                iterations: total_iters,
-                residual: rung_residual,
-            });
-            break;
+            Err(_) => break,
         }
     }
 
+    total_iters += retry_iters;
+    if retry_residual.is_finite() {
+        last_residual = retry_residual;
+    }
+    xylem_obs::incr(xylem_obs::Counter::SolveFallbacks);
+    if recovered {
+        xylem_obs::incr(xylem_obs::Counter::SolveRecoveries);
+    }
+    if xylem_obs::enabled() {
+        xylem_obs::event("solve_fallback")
+            .str("from", from.label())
+            .str("rung", PreconditionerKind::Jacobi.label())
+            .f64("relaxed_tolerance", relaxed)
+            .u64("iters", retry_iters as u64)
+            .f64("residual", retry_residual)
+            .bool("recovered", recovered)
+            .emit();
+    }
+    report.record(RecoveryEvent {
+        rung: PreconditionerKind::Jacobi,
+        relaxed_tolerance: relaxed,
+        iterations: retry_iters,
+        residual: retry_residual,
+        recovered,
+    });
     ws.x0 = x0;
-    match recovered_stats {
-        Some(stats) => Ok(stats),
-        None => Err(ThermalError::NoConvergence {
+    if recovered {
+        Ok(SolveStats {
+            iterations: total_iters,
+            residual: retry_residual,
+        })
+    } else {
+        Err(ThermalError::NoConvergence {
             iterations: total_iters,
             residual: last_residual,
             tolerance: options.tolerance,
-        }),
+        })
     }
 }
 
@@ -868,13 +811,24 @@ mod tests {
     use super::*;
     use crate::reduce::{chunk_dot, pairwise_dot};
 
+    /// `kind` built for `a`; GMG sees the matrix as one cell column of
+    /// `n` layers, which every matrix with a diagonal is.
+    fn build(a: &CsrMatrix, kind: PreconditionerKind) -> Preconditioner {
+        match kind {
+            PreconditionerKind::Jacobi => Preconditioner::jacobi(a),
+            PreconditionerKind::Gmg => {
+                Preconditioner::build_gmg(a, 1, 1, a.n()).expect("column geometry")
+            }
+        }
+    }
+
     fn solve(
         a: &CsrMatrix,
         b: &[f64],
         x: &mut [f64],
         kind: PreconditionerKind,
     ) -> Result<SolveStats, ThermalError> {
-        let prec = Preconditioner::build(a, kind);
+        let prec = build(a, kind);
         let mut ws = SolverWorkspace::new();
         let options = SolverOptions {
             preconditioner: kind,
@@ -897,7 +851,7 @@ mod tests {
     }
 
     const ALL_KINDS: [PreconditionerKind; 2] =
-        [PreconditionerKind::Jacobi, PreconditionerKind::Amg];
+        [PreconditionerKind::Jacobi, PreconditionerKind::Gmg];
 
     #[test]
     fn solves_diagonal_system() {
@@ -950,7 +904,7 @@ mod tests {
     fn iteration_cap_reported() {
         // A 1D Laplacian chain with a tight cap.
         let a = chain(50, 2.0);
-        let prec = Preconditioner::build(&a, PreconditionerKind::Jacobi);
+        let prec = Preconditioner::jacobi(&a);
         let b = vec![1.0; 50];
         let mut x = vec![0.0; 50];
         let mut ws = SolverWorkspace::new();
@@ -970,13 +924,11 @@ mod tests {
     #[test]
     fn ladder_recovers_from_a_starved_iteration_cap() {
         // An iteration cap far below what the chain needs forces the
-        // configured attempt to fail; the ladder must escalate to the
-        // next rung and still deliver the tight-tolerance solution. A
-        // chain is one cell column of `n` layers, so the geometric
-        // hierarchy builds on it too: a starved GMG solve is rescued by
-        // AMG, a starved AMG solve by Jacobi. On a single column the GMG
-        // hierarchy is one direct Cholesky level, exact in one iteration,
-        // so only a zero cap starves it.
+        // configured GMG attempt to fail; the Jacobi retry must still
+        // deliver the tight-tolerance solution. As one cell column of
+        // `n` layers the hierarchy is a single direct Cholesky level,
+        // exact in one iteration, so only a zero cap starves it; as a
+        // row of `n` cells it coarsens for real and a cap of 2 does.
         let n = 300;
         let a = chain(n, 2.02);
         let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 * 0.1).collect();
@@ -984,16 +936,12 @@ mod tests {
         let mut reference = vec![0.0; n];
         solve(&a, &b, &mut reference, PreconditionerKind::Jacobi).unwrap();
 
-        let gmg = Preconditioner::build_gmg(&a, 1, 1, n).expect("geometry matches");
-        let amg = Preconditioner::build(&a, PreconditionerKind::Amg);
-        for (prec, cap, rescuer) in [
-            (gmg, 0, PreconditionerKind::Amg),
-            (amg, 2, PreconditionerKind::Jacobi),
-        ] {
+        for ((nx, nl), cap) in [((1, n), 0), ((n, 1), 2)] {
+            let prec = Preconditioner::build_gmg(&a, nx, 1, nl).expect("geometry matches");
             let opts = SolverOptions {
                 tolerance: 1e-9,
                 max_iterations: cap,
-                preconditioner: prec.kind(),
+                preconditioner: PreconditionerKind::Gmg,
                 fallback: true,
             };
             let mut ws = SolverWorkspace::new();
@@ -1009,15 +957,14 @@ mod tests {
                 &mut report,
             )
             .unwrap();
-            let kind = opts.preconditioner;
-            assert_eq!(report.attempts, 1, "{kind:?}: one rung suffices");
-            assert_eq!(report.recoveries, 1, "{kind:?}");
+            assert_eq!(report.attempts, 1, "{nx}x1x{nl}: one retry suffices");
+            assert_eq!(report.recoveries, 1, "{nx}x1x{nl}");
             let ev = report.events[0];
-            assert!(ev.recovered, "{kind:?}");
-            assert_eq!(ev.rung, rescuer, "{kind:?} is rescued by the next rung");
+            assert!(ev.recovered, "{nx}x1x{nl}");
+            assert_eq!(ev.rung, PreconditionerKind::Jacobi, "{nx}x1x{nl}");
             assert!(stats.residual <= opts.tolerance);
             for (p, q) in x.iter().zip(&reference) {
-                assert!((p - q).abs() < 1e-6, "{kind:?}: {p} vs {q}");
+                assert!((p - q).abs() < 1e-6, "{nx}x1x{nl}: {p} vs {q}");
             }
         }
     }
@@ -1027,7 +974,7 @@ mod tests {
         let a = chain(120, 2.5);
         let b = vec![1.0; 120];
         let opts = SolverOptions::default();
-        let prec = Preconditioner::build(&a, opts.preconditioner);
+        let prec = build(&a, opts.preconditioner);
         let mut ws = SolverWorkspace::new();
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; 120];
@@ -1043,18 +990,18 @@ mod tests {
     #[test]
     fn ladder_gives_up_when_every_rung_fails() {
         // A poisoned right-hand side (NaN) defeats every preconditioner:
-        // each rung bails with a non-finite residual, and the ladder must
-        // surface NoConvergence after trying all of them.
+        // the GMG solve fails, its Jacobi retry fails too, and the
+        // ladder must surface NoConvergence after that one retry.
         let a = chain(200, 2.0);
         let mut b = vec![1.0; 200];
         b[77] = f64::NAN;
         let opts = SolverOptions {
             tolerance: 1e-9,
             max_iterations: 3,
-            preconditioner: PreconditionerKind::Amg,
+            preconditioner: PreconditionerKind::Gmg,
             fallback: true,
         };
-        let prec = Preconditioner::build(&a, opts.preconditioner);
+        let prec = build(&a, opts.preconditioner);
         let mut ws = SolverWorkspace::new();
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; 200];
@@ -1069,16 +1016,7 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ThermalError::NoConvergence { .. }));
-        let rungs_after_amg = FALLBACK_LADDER.len()
-            - 1
-            - FALLBACK_LADDER
-                .iter()
-                .position(|&k| k == PreconditionerKind::Amg)
-                .unwrap();
-        assert_eq!(
-            report.attempts, rungs_after_amg,
-            "all rungs after AMG tried"
-        );
+        assert_eq!(report.attempts, 1, "one Jacobi retry");
         assert_eq!(report.recoveries, 0);
     }
 
@@ -1163,10 +1101,10 @@ mod tests {
         let opts = SolverOptions {
             tolerance: 1e-9,
             max_iterations: 2,
-            preconditioner: PreconditionerKind::Amg,
+            preconditioner: PreconditionerKind::Gmg,
             fallback: true,
         };
-        let prec = Preconditioner::build(&a, opts.preconditioner);
+        let prec = build(&a, opts.preconditioner);
         let mut ws = SolverWorkspace::new();
         let mut report = RecoveryReport::default();
         let mut x = vec![0.0; n];
@@ -1203,22 +1141,20 @@ mod tests {
     }
 
     #[test]
-    fn gmg_kind_degrades_to_amg_without_geometry() {
+    fn bare_matrix_gets_jacobi_and_geometry_gets_gmg() {
         let a = chain(30, 2.2);
-        // A bare matrix has no grid geometry: build() degrades to AMG.
-        let p = Preconditioner::build(&a, PreconditionerKind::Gmg);
-        assert_eq!(p.kind(), PreconditionerKind::Amg);
+        assert_eq!(
+            Preconditioner::jacobi(&a).kind(),
+            PreconditionerKind::Jacobi
+        );
         // With geometry (a chain is one cell column of 30 layers) the
-        // real hierarchy builds and solves.
+        // hierarchy builds and solves.
         let p = Preconditioner::build_gmg(&a, 1, 1, 30).expect("geometry matches");
         assert_eq!(p.kind(), PreconditionerKind::Gmg);
         let b = vec![1.0; 30];
         let mut x = vec![0.0; 30];
         let mut ws = SolverWorkspace::new();
-        let opts = SolverOptions {
-            preconditioner: PreconditionerKind::Gmg,
-            ..SolverOptions::default()
-        };
+        let opts = SolverOptions::default();
         let stats = solve_cg(Operator::csr(&a), &p, &b, &mut x, &mut ws, &opts).unwrap();
         assert!(stats.residual <= opts.tolerance);
         let mut ax = vec![0.0; 30];
@@ -1230,22 +1166,21 @@ mod tests {
 
     #[test]
     fn stencil_operator_solve_is_bitwise_the_csr_solve() {
-        // A 1-cell-column "stack" is stencil-extractable; the CG run
-        // through the matrix-free path must match the CSR path bitwise.
+        // A chain is a 1-cell-high row of 80 cells, so it is
+        // stencil-extractable and coarsens for real; the CG run and the
+        // finest level of its V-cycles through the matrix-free path
+        // must match the CSR path bitwise.
         let a = chain(80, 2.3);
-        let s = StencilOperator::from_csr(&a, 1, 1, 80).expect("structured");
-        let prec = Preconditioner::build(&a, PreconditionerKind::Amg);
-        let opts = SolverOptions {
-            preconditioner: PreconditionerKind::Amg,
-            ..SolverOptions::default()
-        };
+        let s = StencilOperator::from_csr(&a, 80, 1, 1).expect("structured");
+        let prec = Preconditioner::build_gmg(&a, 80, 1, 1).expect("row geometry");
+        let opts = SolverOptions::default();
         let b: Vec<f64> = (0..80).map(|i| ((i * 7) % 11) as f64 * 0.2 + 0.1).collect();
         let mut ws = SolverWorkspace::new();
         let mut x_csr = vec![0.0; 80];
         let s1 = solve_cg(Operator::csr(&a), &prec, &b, &mut x_csr, &mut ws, &opts).unwrap();
         let mut x_st = vec![0.0; 80];
         let s2 = solve_cg(
-            Operator::with_stencil(&a, Some(&s)),
+            Operator::with_stencil(&a, &s),
             &prec,
             &b,
             &mut x_st,

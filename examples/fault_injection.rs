@@ -103,8 +103,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let under_faults = dtm_transient_configured(&sys, app, freq, duration, &faulted, grid)?;
     describe("faulted sensors:", &under_faults);
 
-    // 3. Crippled solver: cap CG at 2 iterations so the configured AMG
-    //    attempt fails every step and the fallback ladder recovers it.
+    // 3. Crippled solver: cap CG at 2 iterations so the configured GMG
+    //    attempt fails every step and the Jacobi retry recovers it.
     let starved = DtmRunConfig {
         sensors: Some(sensors),
         solver: Some(SolverOptions {
