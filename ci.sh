@@ -71,7 +71,9 @@ fi
 
 if [[ "${1:-}" == "bench" ]]; then
   echo "==> solver smoke bench (BENCH_thermal.json: scaling to 128x128, GMG setup/apply, stencil matvec)"
-  cargo run --release -q -p xylem-bench --bin bench_thermal_smoke
+  # One pool thread, as perfbench pins it: the README reads these rows
+  # as single-core, and an unpinned pool sizes itself to the core count.
+  RAYON_NUM_THREADS=1 cargo run --release -q -p xylem-bench --bin bench_thermal_smoke
   exit 0
 fi
 
@@ -187,6 +189,9 @@ if [[ -n "$dups" ]]; then
   exit 1
 fi
 
+# The vendored stand-ins under vendor/ are path dependencies inside the
+# workspace root, so they are implicit workspace members and their own
+# unit tests (serde_json, rand, rayon) run here too.
 echo "==> cargo test"
 cargo test -q --workspace
 

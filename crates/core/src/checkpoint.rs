@@ -21,10 +21,12 @@
 //! mid-write never corrupts the previous checkpoint, and a power loss
 //! just after `save` returns cannot un-link the new file.
 //!
-//! The envelope is payload-agnostic: [`save_payload`] / [`load_payload`]
-//! wrap any serialized string in the same magic/version/checksum armor,
-//! which is how xylem-serve persists per-session state without
-//! reimplementing the durability protocol.
+//! The envelope is payload-agnostic: [`save_state`] / [`save_payload`] /
+//! [`load_payload`] wrap any serialized state in the same
+//! magic/version/checksum armor, which is how xylem-serve persists
+//! per-session state without reimplementing the durability protocol.
+//! Each save records its text encode and its atomic write in the
+//! `checkpoint_encode_ms` and `checkpoint_write_ms` histograms.
 
 use std::path::Path;
 
@@ -35,6 +37,7 @@ use crate::durable::write_atomic;
 use crate::error::CheckpointError;
 use crate::sensor::SensorArray;
 use xylem_obs::hash::fnv1a;
+use xylem_obs::{span, Hist, Span};
 use xylem_thermal::{AdaptiveController, RecoveryReport};
 
 /// First bytes of every checkpoint file.
@@ -53,8 +56,9 @@ pub const CHECKPOINT_VERSION: u64 = 2;
 pub const CHECKPOINT_MIN_VERSION: u64 = 1;
 
 /// Outer envelope: everything needed to reject a bad file before
-/// touching the payload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// touching the payload. Read through this derive; written by
+/// [`envelope_bytes`], which emits the same bytes without building it.
+#[derive(Debug, Deserialize)]
 struct Envelope {
     magic: String,
     version: u64,
@@ -117,6 +121,38 @@ fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
     }
 }
 
+/// The envelope file bytes around `payload`, byte for byte what the
+/// derived serializer of [`Envelope`] wrote: keys in `BTreeMap` order,
+/// the payload as one escaped JSON string. Built in a single pass into a
+/// buffer sized up front, with no `Value` tree and no copy of the
+/// payload.
+fn envelope_bytes(payload: &str) -> Vec<u8> {
+    // Each `"` and `\` in a JSON payload gains one escape byte; 128
+    // covers the fixed fields.
+    let escapes = payload.bytes().filter(|&b| b == b'"' || b == b'\\').count();
+    let mut text = Vec::with_capacity(payload.len() + escapes + 128);
+    text.extend_from_slice(b"{\"checksum\":\"");
+    text.extend_from_slice(format!("{:016x}", fnv1a(payload.as_bytes())).as_bytes());
+    text.extend_from_slice(b"\",\"magic\":");
+    serde_json::push_escaped_str(&mut text, CHECKPOINT_MAGIC);
+    text.extend_from_slice(b",\"payload\":");
+    serde_json::push_escaped_str(&mut text, payload);
+    text.extend_from_slice(b",\"version\":");
+    text.extend_from_slice(CHECKPOINT_VERSION.to_string().as_bytes());
+    text.push(b'}');
+    text
+}
+
+/// Finishes the encode timed by `encode` (wrapping `payload` in the
+/// envelope) and writes the file via [`write_atomic`], timing the write
+/// separately.
+fn write_envelope(path: &Path, payload: &str, encode: Span) -> Result<(), CheckpointError> {
+    let bytes = envelope_bytes(payload);
+    drop(encode);
+    let _write = span("checkpoint_write", Some(Hist::CheckpointWriteMs));
+    write_atomic(path, &bytes).map_err(|e| io_err(path, e))
+}
+
 /// Writes `payload` to `path` wrapped in the checkpoint envelope
 /// (magic, version, FNV-1a checksum) via [`write_atomic`]: either the
 /// old content or the new survives a power loss at any instant, never a
@@ -124,19 +160,26 @@ fn io_err(path: &Path, source: std::io::Error) -> CheckpointError {
 ///
 /// # Errors
 ///
-/// [`CheckpointError::Io`] on filesystem failures;
-/// [`CheckpointError::Corrupt`] if the envelope cannot be serialized.
+/// [`CheckpointError::Io`] on filesystem failures.
 pub fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
-    let envelope = Envelope {
-        magic: CHECKPOINT_MAGIC.to_owned(),
-        version: CHECKPOINT_VERSION,
-        checksum: format!("{:016x}", fnv1a(payload.as_bytes())),
-        payload: payload.to_owned(),
-    };
-    let text = serde_json::to_string(&envelope).map_err(|e| CheckpointError::Corrupt {
-        reason: format!("envelope serialization failed: {e}"),
+    let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
+    write_envelope(path, payload, encode)
+}
+
+/// Serializes `state` to JSON and writes it like [`save_payload`]. The
+/// `checkpoint_encode_ms` histogram gets the whole text encode (state,
+/// checksum, envelope), `checkpoint_write_ms` the atomic write.
+///
+/// # Errors
+///
+/// [`CheckpointError::Io`] on filesystem failures;
+/// [`CheckpointError::Corrupt`] if the state cannot be serialized.
+pub fn save_state<T: Serialize + ?Sized>(path: &Path, state: &T) -> Result<(), CheckpointError> {
+    let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
+    let payload = serde_json::to_string(state).map_err(|e| CheckpointError::Corrupt {
+        reason: format!("payload serialization failed: {e}"),
     })?;
-    write_atomic(path, text.as_bytes()).map_err(|e| io_err(path, e))
+    write_envelope(path, &payload, encode)
 }
 
 /// Reads and validates an envelope written by [`save_payload`] (magic,
@@ -177,7 +220,7 @@ pub fn load_payload(path: &Path) -> Result<String, CheckpointError> {
 }
 
 /// Serializes `ckpt` to `path` atomically and durably (see
-/// [`save_payload`]).
+/// [`save_state`]).
 ///
 /// # Errors
 ///
@@ -190,10 +233,7 @@ pub fn save(path: &Path, ckpt: &DtmCheckpoint) -> Result<(), CheckpointError> {
             reason: format!("refusing to write non-finite temperature at node {node}"),
         });
     }
-    let payload = serde_json::to_string(ckpt).map_err(|e| CheckpointError::Corrupt {
-        reason: format!("payload serialization failed: {e}"),
-    })?;
-    save_payload(path, &payload)
+    save_state(path, ckpt)
 }
 
 /// Loads and validates a checkpoint file (magic, version, checksum,
@@ -393,6 +433,23 @@ mod tests {
     }
 
     #[test]
+    fn every_save_times_its_encode_and_its_write() {
+        use xylem_obs::summarize;
+        let dir = std::env::temp_dir().join("xylem-ckpt-durable-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let count = |h| summarize(h).count;
+        let (encodes, writes) = (
+            count(Hist::CheckpointEncodeMs),
+            count(Hist::CheckpointWriteMs),
+        );
+        save(&dir.join("timed.ckpt"), &sample_checkpoint()).unwrap();
+        save_payload(&dir.join("timed-payload.ckpt"), "{}").unwrap();
+        // Other tests may save concurrently, so only a lower bound holds.
+        assert!(count(Hist::CheckpointEncodeMs) >= encodes + 2);
+        assert!(count(Hist::CheckpointWriteMs) >= writes + 2);
+    }
+
+    #[test]
     fn generic_payload_round_trips_and_rejects_tampering() {
         let dir = std::env::temp_dir().join("xylem-ckpt-durable-test");
         std::fs::create_dir_all(&dir).unwrap();
@@ -447,6 +504,44 @@ mod tests {
         assert!(load(&v1).unwrap().adaptive.is_none());
     }
 
+    /// Floats whose text is easy to get wrong: a repeating fraction, a
+    /// sum off by an ulp, an exact decimal tie (printed rounded up), the
+    /// smallest subnormal, small and huge exponents, integral values on
+    /// both sides of 1e16, negative zero and NaN (written as `null`).
+    const AWKWARD_FLOATS: [f64; 10] = [
+        1.0 / 3.0,
+        0.1 + 0.2,
+        1_658_206_780_088_562.25,
+        5e-324,
+        1e-7,
+        2.5e300,
+        45.0,
+        1e16,
+        -0.0,
+        f64::NAN,
+    ];
+
+    #[test]
+    fn file_bytes_are_pinned() {
+        // Captured from the `format!`-based float writer this file format
+        // was first written with; any encoder change that moves a byte of
+        // an existing checkpoint (and so its checksum) fails here.
+        let dir = std::env::temp_dir().join("xylem-ckpt-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pinned.ckpt");
+        let mut ckpt = sample_checkpoint();
+        ckpt.temps = AWKWARD_FLOATS.to_vec();
+        ckpt.samples = vec![DtmSample {
+            time_s: 0.001 * 3.0,
+            f_ghz: 2.8,
+            hotspot: xylem_thermal::units::Celsius::new(81.125),
+        }];
+        // `save` refuses the NaN, so go through the same encode it uses.
+        save_payload(&path, &serde_json::to_string(&ckpt).unwrap()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, PINNED_CHECKPOINT);
+    }
+
     #[test]
     fn fnv1a_matches_reference_vectors() {
         // Published FNV-1a 64-bit test vectors, through the hex form the
@@ -456,4 +551,6 @@ mod tests {
         assert_eq!(config_hash("a"), "af63dc4c8601ec8c");
         assert_eq!(config_hash("foobar"), "85944171f73967e8");
     }
+
+    const PINNED_CHECKPOINT: &str = r#"{"checksum":"a27148aea7b6b635","magic":"xylem-checkpoint","payload":"{\"above\":1,\"adaptive\":null,\"cg_iterations\":512,\"config_hash\":\"32cb9ba7b78eb060\",\"dt\":0.001,\"failsafe_events\":0,\"grid_nx\":12,\"grid_ny\":12,\"level\":2,\"recovery\":{\"attempts\":0,\"events\":[],\"recoveries\":0},\"samples\":[{\"f_ghz\":2.8,\"hotspot\":81.125,\"time_s\":0.003}],\"sensors\":null,\"step\":17,\"temps\":[0.3333333333333333,0.30000000000000004,1658206780088562.3,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,0.0000001,2500000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,45.0,10000000000000000,-0.0,null],\"throttle_events\":3}","version":2}"#;
 }

@@ -179,6 +179,12 @@ metric_enum!(
         ServeSessionMs => "serve_session_ms",
         /// One scheduler slice (dispatch to outcome) of a serve session.
         ServeSliceMs => "serve_slice_ms",
+        /// Text encode of one checkpoint (state JSON, checksum and
+        /// envelope), for DTM checkpoints and serve session state alike.
+        CheckpointEncodeMs => "checkpoint_encode_ms",
+        /// Atomic write of one checkpoint file (temp file, fsync,
+        /// rename, directory fsync).
+        CheckpointWriteMs => "checkpoint_write_ms",
     }
 );
 

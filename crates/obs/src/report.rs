@@ -127,6 +127,10 @@ pub struct RunReport {
     pub sweep_tasks_quarantined: u64,
     /// Per-sweep-task latency summary (all attempts of one task).
     pub sweep_task_latency: HistSummary,
+    /// Checkpoint text encode (state JSON + envelope) summary.
+    pub checkpoint_encode: HistSummary,
+    /// Checkpoint atomic write (fsync included) summary.
+    pub checkpoint_write: HistSummary,
     /// All nonzero counters (label, value).
     pub counters: Vec<(&'static str, u64)>,
     /// All set gauges (label, value).
@@ -151,6 +155,8 @@ impl RunReport {
             sweep_tasks_retried: counter(Counter::SweepTasksRetried),
             sweep_tasks_quarantined: counter(Counter::SweepTasksQuarantined),
             sweep_task_latency: summarize(Hist::SweepTaskMs),
+            checkpoint_encode: summarize(Hist::CheckpointEncodeMs),
+            checkpoint_write: summarize(Hist::CheckpointWriteMs),
             counters: counters_snapshot(),
             gauges: gauges_snapshot(),
         }
@@ -174,6 +180,12 @@ impl RunReport {
                 .u64("sweep_tasks_quarantined", self.sweep_tasks_quarantined)
                 .f64("sweep_task_p50_ms", self.sweep_task_latency.p50_ms)
                 .f64("sweep_task_p99_ms", self.sweep_task_latency.p99_ms);
+        }
+        if self.checkpoint_encode.count > 0 {
+            ev = ev
+                .u64("checkpoints", self.checkpoint_encode.count)
+                .f64("checkpoint_encode_mean_ms", self.checkpoint_encode.mean_ms)
+                .f64("checkpoint_write_mean_ms", self.checkpoint_write.mean_ms);
         }
         let counters = Value::Object(
             self.counters
@@ -224,6 +236,15 @@ impl fmt::Display for RunReport {
                 self.sweep_task_latency.p99_ms
             )?;
         }
+        if self.checkpoint_encode.count > 0 {
+            writeln!(
+                f,
+                "  checkpoints      {:>10}   encode mean {:.3} ms, write+fsync mean {:.3} ms",
+                self.checkpoint_encode.count,
+                self.checkpoint_encode.mean_ms,
+                self.checkpoint_write.mean_ms
+            )?;
+        }
         if self.throttle_events + self.boost_events + self.failsafe_events > 0 {
             writeln!(
                 f,
@@ -253,6 +274,17 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x85944171f73967e8);
+    }
+
+    #[test]
+    fn checkpoint_split_is_reported_once_a_checkpoint_is_timed() {
+        crate::metrics::record_ns(Hist::CheckpointEncodeMs, 3_000_000);
+        crate::metrics::record_ns(Hist::CheckpointWriteMs, 1_000_000);
+        let report = RunReport::capture();
+        assert!(report.checkpoint_encode.count >= 1);
+        assert!(report.checkpoint_write.count >= 1);
+        let text = report.to_string();
+        assert!(text.contains("encode mean"), "{text}");
     }
 
     #[test]

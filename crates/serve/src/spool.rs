@@ -24,7 +24,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
-use xylem::checkpoint::{load_payload, save_payload};
+use xylem::checkpoint::{self, load_payload};
 use xylem::durable::{write_atomic, Journal, Scan};
 use xylem::error::CheckpointError;
 use xylem_obs::hash::{fnv1a_serve_extend, FNV_OFFSET};
@@ -329,9 +329,7 @@ impl Spool {
     /// Durably checkpoints a session's state (atomic replace + fsync,
     /// via the workspace checkpoint envelope).
     pub fn save_state(&self, id: u64, state: &SessionState) -> Result<(), ServeError> {
-        let payload =
-            serde_json::to_string(state).map_err(|e| ServeError::Protocol(e.to_string()))?;
-        save_payload(&self.ckpt_path(id), &payload)
+        checkpoint::save_state(&self.ckpt_path(id), state)
             .map_err(|e| ServeError::Checkpoint(e.to_string()))
     }
 
@@ -580,4 +578,41 @@ mod tests {
         assert_eq!(read("frames.jsonl"), frames);
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    #[test]
+    fn state_file_bytes_are_pinned() {
+        // Written by the `format!`-based float writer; a session state
+        // file is the checkpoint envelope around the state's JSON, so any
+        // encoder or envelope change that would strand a suspended
+        // session fails here.
+        let dir = tmp("pinned-state");
+        let (spool, _) = Spool::open(&dir, true).expect("open");
+        let state = SessionState {
+            step: 40,
+            temps: vec![
+                1.0 / 3.0,
+                0.1 + 0.2,
+                1_658_206_780_088_562.25,
+                5e-324,
+                1e-7,
+                2.5e300,
+                45.0,
+                1e16,
+                -0.0,
+                f64::NAN,
+            ],
+            level: 3,
+            frames: 8,
+            chain: u64::MAX,
+            frame_stride: 10,
+            deadline_misses: 2,
+            attempts: 1,
+        };
+        spool.save_state(9, &state).expect("save");
+        let text = std::fs::read_to_string(spool.ckpt_path(9)).expect("read");
+        assert_eq!(text, PINNED_STATE);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    const PINNED_STATE: &str = r#"{"checksum":"043085148f012d66","magic":"xylem-checkpoint","payload":"{\"attempts\":1,\"chain\":18446744073709551615,\"deadline_misses\":2,\"frame_stride\":10,\"frames\":8,\"level\":3,\"step\":40,\"temps\":[0.3333333333333333,0.30000000000000004,1658206780088562.3,0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,0.0000001,2500000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,45.0,10000000000000000,-0.0,null]}","version":2}"#;
 }

@@ -747,6 +747,12 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
         report.p50_session_ms,
         report.p99_session_ms
     );
+    let encode = xylem_obs::summarize(xylem_obs::Hist::CheckpointEncodeMs);
+    let write = xylem_obs::summarize(xylem_obs::Hist::CheckpointWriteMs);
+    println!(
+        "  state checkpoints {}: encode mean {:.3} ms, write+fsync mean {:.3} ms",
+        encode.count, encode.mean_ms, write.mean_ms
+    );
     if cfg.kill_drill {
         println!(
             "  SIGKILL drill: {}",
