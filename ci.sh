@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Workspace CI gate. Run from the repository root:
 #
-#   ./ci.sh          # format check, clippy, perfbench build, xylem-lint
-#                    # audit, duplicate test-registration check, full
-#                    # test suite
+#   ./ci.sh          # format check, clippy, perfbench build, bench-target
+#                    # compile check, xylem-lint audit, duplicate
+#                    # test-registration check, full test suite
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (DTM on
@@ -170,6 +170,11 @@ cargo clippy --workspace --lib --bins -- -D warnings
 # public API, and this step catches an API change that breaks it.
 echo "==> perfbench build (compile-only)"
 cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
+# Neither `cargo test` nor the steps above build a `[[bench]]` target,
+# so a library change could break one unseen until `./ci.sh bench`.
+echo "==> bench targets (compile-only)"
+cargo check --workspace --benches --offline
 
 echo "==> xylem-lint determinism audit (nine rules, baseline ratchet, stale check)"
 cargo run -q -p xylem-lint

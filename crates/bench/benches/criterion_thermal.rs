@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks of the thermal substrate: model assembly,
-//! the flat CSR matvec kernel (serial vs parallel), steady-state solves
-//! through the model's default preconditioner, transient steps (warm- vs cold-started CG), and the superposition
-//! fast path.
+//! the serial reference CSR matvec, steady-state solves through the
+//! model's default preconditioner, transient steps (warm- vs
+//! cold-started CG), and the superposition fast path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -38,11 +38,6 @@ fn bench_matvec(c: &mut Criterion) {
         let mut y = vec![0.0f64; nn];
         group.bench_with_input(BenchmarkId::new("csr_serial", n), &n, |b, _| {
             b.iter(|| model.csr().matvec_serial(&x, &mut y))
-        });
-        // With one rayon thread the parallel path inlines; with more it
-        // chunks rows. Either way the result is bit-identical to serial.
-        group.bench_with_input(BenchmarkId::new("csr_parallel", n), &n, |b, _| {
-            b.iter(|| model.csr().matvec_parallel(&x, &mut y))
         });
     }
     group.finish();

@@ -16,7 +16,7 @@ use xylem::system::{SystemConfig, XylemSystem};
 use xylem_stack::{StackConfig, XylemScheme};
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::power::PowerMap;
-use xylem_thermal::solve::{Operator, Preconditioner};
+use xylem_thermal::solve::Preconditioner;
 use xylem_thermal::temperature::TemperatureField;
 use xylem_thermal::units::Watts;
 use xylem_thermal::{AdaptiveController, AdaptiveOptions, SolverWorkspace, ThermalModel};
@@ -194,9 +194,8 @@ fn main() {
         };
         let prec = build_one();
         let setup_ms = time_ms(if grid == 128 { 2 } else { 5 }, build_one);
-        let op = Operator::with_stencil(model.csr(), model.stencil());
         let apply_ms = time_ms(if grid == 128 { 5 } else { 10 }, || {
-            prec.apply_timed(op, &r, &mut z)
+            prec.apply_timed(model.stencil(), &r, &mut z, &mut ws)
         });
         preconditioner.push(PrecRow {
             grid,

@@ -28,6 +28,7 @@ use xylem_thermal::grid::GridSpec;
 use xylem_thermal::power::PowerMap;
 use xylem_thermal::units::{Celsius, Watts};
 
+use crate::durable::write_atomic;
 use crate::Result;
 
 /// Sensor-layer responses to unit power in each source.
@@ -145,7 +146,9 @@ impl ThermalResponse {
 
     /// Loads a cached response for `built`+`grid` from `cache_dir`, or
     /// computes and stores it. Pass a directory like
-    /// `target/xylem-cache`; it is created if missing.
+    /// `target/xylem-cache`; it is created if missing. The file is
+    /// written with [`write_atomic`], so a crash mid-write leaves the
+    /// previous file (or none), never a torn one.
     ///
     /// # Errors
     ///
@@ -169,7 +172,7 @@ impl ThermalResponse {
             let _ = std::fs::create_dir_all(dir);
         }
         if let Ok(bytes) = serde_json::to_vec(&r) {
-            let _ = std::fs::write(&path, bytes);
+            let _ = write_atomic(&path, &bytes);
         }
         Ok(r)
     }

@@ -19,9 +19,7 @@
 //! 2. *Counters are deterministic.* They total iterations, steps, and
 //!    events — never wall-clock — so identical seeded runs produce
 //!    identical totals at any thread count. Latency lives in histograms,
-//!    which are excluded from that guarantee. The one exception,
-//!    `prec_scratch_waits`, counts lock waits between threads that share
-//!    a preconditioner, and reads zero wherever no two threads do.
+//!    which are excluded from that guarantee.
 //! 3. *No NaN escapes.* Gauges drop non-finite stores; event floats
 //!    serialise non-finite values as `null`.
 //! 4. *Every line parses back.* The emitter and parser in [`json`] are a

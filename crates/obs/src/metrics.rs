@@ -88,12 +88,6 @@ metric_enum!(
         /// Preconditioners built (steady, transient-operator and
         /// fallback-rung setups): the solver setup a run paid for.
         PreconditionerBuilds => "preconditioner_builds",
-        /// Multigrid preconditioner applies that found the hierarchy's
-        /// V-cycle scratch held by another thread and waited for it.
-        /// The one scheduling-dependent counter: it stays zero while no
-        /// two threads apply one preconditioner at once, which holds in
-        /// every single-session solve, sweep shard and DTM run.
-        PrecScratchWaits => "prec_scratch_waits",
         /// Transient-operator cache lookups that reused a cached factor.
         TransientCacheHits => "transient_cache_hits",
         /// Transient-operator cache lookups that built a new factor.

@@ -1,30 +1,32 @@
 //! Flat compressed-sparse-row (CSR) storage for the RC conductance
-//! matrix, plus the parallel matvec kernel the CG solver runs on.
+//! matrix: the build-time form that stencil extraction and
+//! preconditioner setup read.
 //!
 //! [`ThermalModel::build`](crate::model::ThermalModel::build) assembles
 //! its node graph as a local adjacency list (natural for edge insertion),
-//! then lowers it once into a [`CsrMatrix`] — the one operator the model
-//! stores: three flat arrays (`row_ptr`, `col_idx`, `values`) that a
-//! matvec walks with zero pointer chasing. Columns within a row are
-//! sorted ascending and the diagonal entry's position is cached per row
+//! then lowers it once into a [`CsrMatrix`]: three flat arrays
+//! (`row_ptr`, `col_idx`, `values`). Columns within a row are sorted
+//! ascending and the diagonal entry's position is cached per row
 //! (`diag_idx`), which gives the stencil extraction its split point for
 //! free and makes the backward-Euler diagonal patch (`A + C/dt`) an O(n)
-//! update of an existing clone rather than a re-assembly.
+//! update of an existing clone rather than a re-assembly. No solve
+//! multiplies by it: every CG matvec runs on the
+//! [`StencilOperator`](crate::stencil::StencilOperator) extracted from
+//! it, and [`CsrMatrix::matvec_serial`] stays as the bitwise reference
+//! the stencil sweeps are tested against.
 //!
 //! Sign convention: entries are the actual matrix coefficients, i.e. the
 //! off-diagonals hold `-G_ij` and the diagonal holds
 //! `sum_j G_ij + G_ambient,i` (plus `C_i/dt` after a transient patch), so
-//! `matvec` is a plain `y = A x`.
+//! `matvec_serial` is a plain `y = A x`.
 
-use rayon::{current_num_threads, scope};
-
-/// Minimum matrix dimension before the parallel matvec path engages;
+/// Minimum matrix dimension before the parallel stencil sweep engages;
 /// below this, thread handoff costs more than the row sweep saves.
 pub const PAR_MIN_ROWS: usize = 16_384;
 
-/// Rows per parallel work chunk. Also the boundary the deterministic
-/// reductions in [`crate::solve`] use, so serial and parallel runs
-/// partition work identically.
+/// Rows per parallel work chunk of the stencil sweep. Also the boundary
+/// the deterministic reductions in [`crate::solve`] use, so serial and
+/// parallel runs partition work identically.
 pub(crate) const ROW_CHUNK: usize = 4096;
 
 /// Symmetric sparse matrix in CSR layout.
@@ -244,22 +246,8 @@ impl CsrMatrix {
         out
     }
 
-    /// `y[rows] = (A x)[rows]` for one contiguous row range.
-    #[inline]
-    fn matvec_rows(&self, lo: usize, x: &[f64], y: &mut [f64]) {
-        for (di, yi) in y.iter_mut().enumerate() {
-            let i = lo + di;
-            let start = self.row_ptr[i] as usize;
-            let end = self.row_ptr[i + 1] as usize;
-            let mut acc = 0.0;
-            for k in start..end {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// `y = A x`, single-threaded.
+    /// `y = A x`, single-threaded: each row folds `acc += a_ij * x_j`
+    /// over its ascending columns from `acc = 0.0`.
     ///
     /// # Panics
     ///
@@ -267,32 +255,13 @@ impl CsrMatrix {
     pub fn matvec_serial(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
         debug_assert_eq!(y.len(), self.n);
-        self.matvec_rows(0, x, y);
-    }
-
-    /// `y = A x`, row-chunked across the rayon pool. Produces bitwise
-    /// the same `y` as [`CsrMatrix::matvec_serial`]: each row's
-    /// accumulation is independent, so the thread count never changes
-    /// any sum's order.
-    pub fn matvec_parallel(&self, x: &[f64], y: &mut [f64]) {
-        debug_assert_eq!(x.len(), self.n);
-        debug_assert_eq!(y.len(), self.n);
-        scope(|s| {
-            for (k, chunk) in y.chunks_mut(ROW_CHUNK).enumerate() {
-                s.spawn(move |_| {
-                    self.matvec_rows(k * ROW_CHUNK, x, chunk);
-                });
+        for (i, yi) in y.iter_mut().enumerate() {
+            let (cols, vals) = self.row(i);
+            let mut acc = 0.0;
+            for (&j, v) in cols.iter().zip(vals) {
+                acc += v * x[j as usize];
             }
-        });
-    }
-
-    /// `y = A x`, picking the parallel path when the matrix is large
-    /// enough ([`PAR_MIN_ROWS`]) and the pool has more than one thread.
-    pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
-        if self.n >= PAR_MIN_ROWS && current_num_threads() > 1 {
-            self.matvec_parallel(x, y);
-        } else {
-            self.matvec_serial(x, y);
+            *yi = acc;
         }
     }
 }
@@ -342,19 +311,6 @@ mod tests {
             }
             assert!((y[i] - want).abs() < 1e-15, "row {i}: {} vs {want}", y[i]);
         }
-    }
-
-    #[test]
-    fn parallel_matvec_is_bitwise_serial() {
-        let n = 2 * ROW_CHUNK + 137; // force several chunks
-        let (nbrs, diag) = chain(n);
-        let a = CsrMatrix::from_adjacency(&nbrs, &diag);
-        let x: Vec<f64> = (0..n).map(|i| 1.0 / (i as f64 + 1.0)).collect();
-        let mut ys = vec![0.0; n];
-        let mut yp = vec![1.0; n];
-        a.matvec_serial(&x, &mut ys);
-        a.matvec_parallel(&x, &mut yp);
-        assert!(ys.iter().zip(&yp).all(|(s, p)| s.to_bits() == p.to_bits()));
     }
 
     #[test]

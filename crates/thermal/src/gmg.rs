@@ -19,9 +19,14 @@
 //!   a [`StencilOperator`] extracted from the Galerkin CSR, which is
 //!   then dropped (the coarsest one after feeding the envelope factor).
 //!   The V-cycle multiplies on the finest level through the caller's
-//!   [`Operator`] — the model's stencil, never a copy — and on every
-//!   coarser level through the stored stencil; both are bit-identical
-//!   to the CSR product.
+//!   stencil — the model's, never a copy — and on every coarser level
+//!   through the stored stencil; both are bit-identical to the CSR
+//!   product.
+//! * **The hierarchy is read-only during an apply.** The V-cycle's
+//!   per-level vectors live in a caller-owned [`GmgScratch`] (a
+//!   [`crate::solve::SolverWorkspace`] carries one), so threads that
+//!   share one hierarchy — serve sessions stepping one shared model —
+//!   each cycle in their own memory and never wait on each other.
 //! * **Smoothing is damped z-line block Jacobi**: each in-plane cell
 //!   column owns a tridiagonal block (the vertical couplings through
 //!   the stack), factored once as `L D L^T` at build time and solved
@@ -46,12 +51,7 @@
 //! `BENCH_thermal.json` records setup and apply at every grid from
 //! 16x16 to 128x128.
 
-use std::sync::{Mutex, MutexGuard, TryLockError};
-
-use xylem_obs::Counter;
-
 use crate::csr::CsrMatrix;
-use crate::solve::Operator;
 use crate::stencil::StencilOperator;
 
 /// Damping for the z-line block-Jacobi smoother. Block smoothers
@@ -181,24 +181,6 @@ impl EnvelopeChol {
     }
 }
 
-/// Locks the hierarchy's V-cycle scratch. An apply that finds the
-/// scratch held by another thread (two sessions stepping one shared
-/// model) counts one [`Counter::PrecScratchWaits`] before it blocks.
-///
-/// # Panics
-///
-/// Panics if the mutex is poisoned (a prior apply panicked mid-cycle).
-fn lock_scratch<T>(scratch: &Mutex<T>) -> MutexGuard<'_, T> {
-    match scratch.try_lock() {
-        Ok(guard) => guard,
-        Err(TryLockError::WouldBlock) => {
-            xylem_obs::incr(Counter::PrecScratchWaits);
-            scratch.lock().expect("multigrid scratch poisoned")
-        }
-        Err(TryLockError::Poisoned(_)) => panic!("multigrid scratch poisoned"),
-    }
-}
-
 /// Galerkin product `P^T A P` for piecewise-constant `P` given by the
 /// aggregate map: sums fine entries per (coarse row, coarse col) pair.
 /// For a 0/1 restriction this is identical to rediscretizing the
@@ -243,44 +225,51 @@ struct GmgLevel {
     coarse: StencilOperator,
 }
 
-/// Per-apply scratch vectors, one set per level.
-#[derive(Debug, Default)]
-struct Scratch {
-    /// Residual workspace per level (fine-level sized).
-    tmp: Vec<Vec<f64>>,
-    /// Smoother output per level (fine-level sized).
-    cor: Vec<Vec<f64>>,
-    /// Restricted right-hand side per level below the finest.
-    rhs: Vec<Vec<f64>>,
-    /// Coarse solution per level below the finest.
-    sol: Vec<Vec<f64>>,
+/// One level's V-cycle vectors.
+#[derive(Debug, Clone, Default)]
+struct LevelScratch {
+    /// Residual workspace (this level's size).
+    tmp: Vec<f64>,
+    /// Smoother output (this level's size).
+    cor: Vec<f64>,
+    /// Restricted right-hand side (the next level's size).
+    rhs: Vec<f64>,
+    /// Coarse-grid solution (the next level's size).
+    sol: Vec<f64>,
+}
+
+/// Caller-owned V-cycle scratch for [`GmgHierarchy::apply`]: one set of
+/// vectors per coarsened level. Sized on first use and re-sized when a
+/// hierarchy with other level sizes uses it; buffers that already fit
+/// are reused verbatim. The cycle overwrites every vector before it
+/// reads it, so which scratch an apply runs in never changes its bits.
+#[derive(Debug, Clone, Default)]
+pub struct GmgScratch {
+    levels: Vec<LevelScratch>,
+}
+
+impl GmgScratch {
+    /// Sizes one [`LevelScratch`] per level of `h`.
+    fn fit(&mut self, h: &GmgHierarchy) -> &mut [LevelScratch] {
+        self.levels
+            .resize_with(h.levels.len(), LevelScratch::default);
+        for (s, lvl) in self.levels.iter_mut().zip(&h.levels) {
+            s.tmp.resize(lvl.n, 0.0);
+            s.cor.resize(lvl.n, 0.0);
+            s.rhs.resize(lvl.coarse.n(), 0.0);
+            s.sol.resize(lvl.coarse.n(), 0.0);
+        }
+        &mut self.levels
+    }
 }
 
 /// Geometric multigrid hierarchy over the structured stack grid.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GmgHierarchy {
     /// Number of z-layers, constant across levels.
     nl: usize,
     levels: Vec<GmgLevel>,
     coarse: EnvelopeChol,
-    /// Interior-mutable so `apply` can take `&self` like the Jacobi
-    /// preconditioner. One solve applies the hierarchy serially, but a
-    /// model shared across threads is applied concurrently: serve shares
-    /// one `ThermalModel`, and its cached transient operators, across
-    /// the sessions of one source, so two workers stepping such sessions
-    /// serialize on this lock for every V-cycle.
-    scratch: Mutex<Scratch>,
-}
-
-impl Clone for GmgHierarchy {
-    fn clone(&self) -> Self {
-        GmgHierarchy {
-            nl: self.nl,
-            levels: self.levels.clone(),
-            coarse: self.coarse.clone(),
-            scratch: Mutex::new(Scratch::default()),
-        }
-    }
 }
 
 /// Factors every z-line tridiagonal block of `a` (dims `nx x ny`, `nl`
@@ -429,69 +418,35 @@ impl GmgHierarchy {
                 coarse: StencilOperator::from_csr(&galerkin_a[k], cnx, cny, nl)?,
             });
         }
-        Some(GmgHierarchy {
-            nl,
-            levels,
-            coarse,
-            scratch: Mutex::new(Scratch::default()),
-        })
+        Some(GmgHierarchy { nl, levels, coarse })
     }
 
     /// Applies one symmetric V(1,1) cycle: `z ≈ A^-1 r`. `a` must be
-    /// the operator of the matrix the hierarchy was built from (the
-    /// finest level); its stencil, when attached, runs the finest
-    /// level's matvecs, and the stored stencils run the coarse ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the internal scratch mutex is poisoned (a prior apply
-    /// panicked mid-cycle).
-    pub fn apply(&self, a: Operator<'_>, r: &[f64], z: &mut [f64]) {
-        let mut scratch = lock_scratch(&self.scratch);
-        let s = &mut *scratch;
-        if s.tmp.len() != self.levels.len() + 1 {
-            s.tmp.clear();
-            s.cor.clear();
-            s.rhs.clear();
-            s.sol.clear();
-            let mut n = a.matrix().n();
-            for lvl in &self.levels {
-                s.tmp.push(vec![0.0; n]);
-                s.cor.push(vec![0.0; n]);
-                n = lvl.coarse.n();
-                s.rhs.push(vec![0.0; n]);
-                s.sol.push(vec![0.0; n]);
-            }
-            s.tmp.push(vec![0.0; n]);
-            s.cor.push(vec![0.0; n]);
-        }
+    /// the stencil of the matrix the hierarchy was built from (the
+    /// finest level); it runs the finest level's matvecs, and the stored
+    /// stencils run the coarse ones. Every per-level vector comes from
+    /// the caller's `scratch`, so the hierarchy itself is only read.
+    pub fn apply(&self, a: &StencilOperator, r: &[f64], z: &mut [f64], scratch: &mut GmgScratch) {
+        let s = scratch.fit(self);
         self.cycle(0, a, r, z, s);
     }
 
-    /// Recursive V-cycle on level `lvl`; `fine` is the finest level's
-    /// operator, every coarser level multiplies by the stencil the level
-    /// above it stores.
-    fn cycle(&self, lvl: usize, fine: Operator<'_>, r: &[f64], z: &mut [f64], s: &mut Scratch) {
-        if lvl == self.levels.len() {
+    /// Recursive V-cycle on level `lvl`, whose operator is `a`; `s`
+    /// holds the scratch of this level and every coarser one.
+    fn cycle(
+        &self,
+        lvl: usize,
+        a: &StencilOperator,
+        r: &[f64],
+        z: &mut [f64],
+        s: &mut [LevelScratch],
+    ) {
+        let Some((cur, below)) = s.split_first_mut() else {
             z.copy_from_slice(r);
             self.coarse.solve(z);
             return;
-        }
-        let level = &self.levels[lvl];
-        let n = level.n;
-        // `matvec` parallelizes when the level is large enough; both
-        // backends are bitwise identical to their serial sweeps.
-        let matvec = |x: &[f64], y: &mut [f64]| match lvl.checked_sub(1) {
-            None => fine.matvec(x, y),
-            Some(above) => self.levels[above].coarse.matvec(x, y),
         };
-
-        let (mut tmp, mut cor, mut rhs, mut sol) = (
-            std::mem::take(&mut s.tmp[lvl]),
-            std::mem::take(&mut s.cor[lvl]),
-            std::mem::take(&mut s.rhs[lvl]),
-            std::mem::take(&mut s.sol[lvl]),
-        );
+        let level = &self.levels[lvl];
 
         // Pre-smooth from zero: z = omega * M^-1 r.
         level.block_solve(self.nl, r, z);
@@ -500,34 +455,30 @@ impl GmgHierarchy {
         }
 
         // Residual, restricted onto the geometric aggregates in fixed
-        // fine-node order.
-        matvec(z, &mut tmp);
-        rhs.iter_mut().for_each(|v| *v = 0.0);
-        for i in 0..n {
-            rhs[level.agg[i] as usize] += r[i] - tmp[i];
+        // fine-node order. `matvec` parallelizes when the level is large
+        // enough, bitwise identical to its serial sweep.
+        a.matvec(z, &mut cur.tmp);
+        cur.rhs.iter_mut().for_each(|v| *v = 0.0);
+        for ((&c, ri), ti) in level.agg.iter().zip(r).zip(&cur.tmp) {
+            cur.rhs[c as usize] += ri - ti;
         }
 
-        self.cycle(lvl + 1, fine, &rhs, &mut sol, s);
+        self.cycle(lvl + 1, &level.coarse, &cur.rhs, &mut cur.sol, below);
 
         // Prolong with over-correction.
-        for i in 0..n {
-            z[i] += OVER_CORRECTION * sol[level.agg[i] as usize];
+        for (zi, &c) in z.iter_mut().zip(&level.agg) {
+            *zi += OVER_CORRECTION * cur.sol[c as usize];
         }
 
         // Post-smooth: z += omega * M^-1 (r - A z).
-        matvec(z, &mut tmp);
-        for i in 0..n {
-            tmp[i] = r[i] - tmp[i];
+        a.matvec(z, &mut cur.tmp);
+        for (ti, ri) in cur.tmp.iter_mut().zip(r) {
+            *ti = ri - *ti;
         }
-        level.block_solve(self.nl, &tmp, &mut cor);
-        for i in 0..n {
-            z[i] += SMOOTH_OMEGA * cor[i];
+        level.block_solve(self.nl, &cur.tmp, &mut cur.cor);
+        for (zi, ci) in z.iter_mut().zip(&cur.cor) {
+            *zi += SMOOTH_OMEGA * ci;
         }
-
-        s.tmp[lvl] = tmp;
-        s.cor[lvl] = cor;
-        s.rhs[lvl] = rhs;
-        s.sol[lvl] = sol;
     }
 
     /// Number of levels including the directly solved coarsest one.
@@ -754,7 +705,8 @@ mod tests {
         assert_eq!(h.num_levels(), 1);
         let b: Vec<f64> = (0..a.n()).map(|i| (i as f64) * 0.1 + 1.0).collect();
         let mut z = vec![0.0; a.n()];
-        h.apply(Operator::csr(&a), &b, &mut z);
+        let s = StencilOperator::from_csr(&a, 4, 4, 3).expect("stencil");
+        h.apply(&s, &b, &mut z, &mut GmgScratch::default());
         let mut az = vec![0.0; a.n()];
         a.matvec_serial(&z, &mut az);
         for (got, want) in az.iter().zip(&b) {
@@ -859,8 +811,10 @@ mod tests {
         let norm0: f64 = r.iter().map(|v| v * v).sum::<f64>().sqrt();
         let mut z = vec![0.0; n];
         let mut ax = vec![0.0; n];
+        let s = StencilOperator::from_csr(&a, nx, ny, nl).expect("stencil");
+        let mut scratch = GmgScratch::default();
         for _ in 0..40 {
-            h.apply(Operator::csr(&a), &r, &mut z);
+            h.apply(&s, &r, &mut z, &mut scratch);
             for i in 0..n {
                 x[i] += z[i];
             }
@@ -874,35 +828,6 @@ mod tests {
             norm < 1e-8 * norm0,
             "V-cycle Richardson failed to contract: {norm:.3e} vs {norm0:.3e}"
         );
-    }
-
-    #[test]
-    fn an_apply_blocked_on_the_scratch_counts_a_wait() {
-        use xylem_obs::Counter;
-        let a = stack_matrix(8, 8, 3);
-        let h = GmgHierarchy::build(&a, 8, 8, 3).expect("build");
-        let n = a.n();
-        let r = vec![1.0; n];
-        let before = xylem_obs::counter(Counter::PrecScratchWaits);
-        let held = h.scratch.lock().expect("fresh mutex");
-        std::thread::scope(|sc| {
-            let waiter = sc.spawn(|| {
-                let mut z = vec![0.0; n];
-                h.apply(Operator::csr(&a), &r, &mut z);
-                z
-            });
-            let give_up = std::time::Instant::now() + std::time::Duration::from_secs(60);
-            while xylem_obs::counter(Counter::PrecScratchWaits) == before {
-                assert!(
-                    std::time::Instant::now() < give_up,
-                    "the wait was never counted"
-                );
-                std::thread::yield_now();
-            }
-            drop(held);
-            let z = waiter.join().expect("apply thread");
-            assert!(z.iter().all(|v| v.is_finite() && *v > 0.0));
-        });
     }
 
     #[test]

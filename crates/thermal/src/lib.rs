@@ -91,7 +91,7 @@ pub use grid::GridSpec;
 pub use model::ThermalModel;
 pub use power::PowerMap;
 pub use solve::{
-    DeadlineGuard, Operator, PreconditionerKind, RecoveryEvent, RecoveryReport, SolverOptions,
+    DeadlineGuard, PreconditionerKind, RecoveryEvent, RecoveryReport, SolverOptions,
     SolverWorkspace,
 };
 pub use stack::Stack;

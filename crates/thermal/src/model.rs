@@ -29,8 +29,8 @@ use crate::error::ThermalError;
 use crate::grid::{rasterize, GridSpec};
 use crate::power::PowerMap;
 use crate::solve::{
-    debug_check_solution, solve_cg_resilient, Operator, Preconditioner, PreconditionerKind,
-    RecoveryReport, SolveStats, SolverOptions, SolverWorkspace,
+    debug_check_solution, solve_cg_resilient, Preconditioner, PreconditionerKind, RecoveryReport,
+    SolveStats, SolverOptions, SolverWorkspace,
 };
 use crate::stack::Stack;
 use crate::stencil::StencilOperator;
@@ -57,7 +57,7 @@ pub struct ThermalModel {
     capacitance: Vec<f64>,
     /// The conductance matrix lowered to flat CSR at build time (the
     /// node graph is assembled as a local adjacency list and dropped);
-    /// preconditioner setup reads it.
+    /// only preconditioner setup reads it, never a solve.
     csr: CsrMatrix,
     /// Matrix-free structured-grid view of `csr` (coefficient planes, no
     /// column indices in the inner loop), extracted at build time; every
@@ -79,35 +79,35 @@ pub struct ThermalModel {
     solver_options: SolverOptions,
 }
 
-/// Lazily built backward-Euler operator for one `dt`.
+/// Lazily built backward-Euler operator for one `dt`: the
+/// diagonal-patched clone of the model's stencil, which transient
+/// solves, and the finest level of their GMG V-cycles, multiply
+/// through, and its preconditioner.
 #[derive(Debug)]
 struct TransientOp {
     dt: f64,
     kind: PreconditionerKind,
-    a: CsrMatrix,
-    /// Stencil view of `a` — the diagonal-patched clone of the model's
-    /// stencil, which transient solves, and the finest level of their
-    /// GMG V-cycles, multiply through.
     stencil: StencilOperator,
     prec: Preconditioner,
 }
 
-/// Builds the preconditioner for `kind` over `a`, supplying the grid
-/// geometry the geometric hierarchy needs. When `kind` is
+/// Builds the preconditioner for `kind`: the multigrid is set up from
+/// the CSR `a` on the grid geometry of `stencil` (the stencil of `a`),
+/// and Jacobi reads the diagonal of `stencil`. When `kind` is
 /// [`PreconditionerKind::Gmg`] but the hierarchy cannot be built (a
 /// coarse level that is not stencil-shaped), builds Jacobi instead;
 /// [`Preconditioner::kind`] reports which one it is.
 fn build_prec_for(
     a: &CsrMatrix,
-    grid: GridSpec,
-    n_layers: usize,
+    stencil: &StencilOperator,
     kind: PreconditionerKind,
 ) -> Preconditioner {
     xylem_obs::incr(Counter::PreconditionerBuilds);
+    let (nx, ny, nl) = (stencil.nx(), stencil.ny(), stencil.layers());
     match kind {
-        PreconditionerKind::Jacobi => Preconditioner::jacobi(a),
-        PreconditionerKind::Gmg => Preconditioner::build_gmg(a, grid.nx(), grid.ny(), n_layers)
-            .unwrap_or_else(|| Preconditioner::jacobi(a)),
+        PreconditionerKind::Jacobi => Preconditioner::jacobi(stencil),
+        PreconditionerKind::Gmg => Preconditioner::build_gmg(a, nx, ny, nl)
+            .unwrap_or_else(|| Preconditioner::jacobi(stencil)),
     }
 }
 
@@ -499,12 +499,6 @@ impl ThermalModel {
         &self.stencil
     }
 
-    /// The steady-state operator: stencil sweeps, with the CSR for
-    /// preconditioner setup.
-    fn operator(&self) -> Operator<'_> {
-        Operator::with_stencil(&self.csr, &self.stencil)
-    }
-
     /// Current solver options.
     pub fn solver_options(&self) -> &SolverOptions {
         &self.solver_options
@@ -589,15 +583,10 @@ impl ThermalModel {
             };
             let mut recovery = RecoveryReport::default();
             let prec = self.prec.get_or_init(|| {
-                build_prec_for(
-                    &self.csr,
-                    self.grid,
-                    3 + self.n_user_layers,
-                    self.solver_options.preconditioner,
-                )
+                build_prec_for(&self.csr, &self.stencil, self.solver_options.preconditioner)
             });
             let stats = solve_cg_resilient(
-                self.operator(),
+                &self.stencil,
                 prec,
                 &rhs,
                 &mut x,
@@ -770,13 +759,12 @@ impl ThermalModel {
             xylem_obs::incr(Counter::TransientCacheEvictions);
         }
         let patch: Vec<f64> = self.capacitance.iter().map(|c| c / dt).collect();
-        let a = self.csr.with_diagonal_added(&patch);
         let stencil = self.stencil.with_diagonal_added(&patch);
-        let prec = build_prec_for(&a, self.grid, 3 + self.n_user_layers, kind);
+        // The patched CSR is setup input only, dropped with this statement.
+        let prec = build_prec_for(&self.csr.with_diagonal_added(&patch), &stencil, kind);
         let op = Arc::new(TransientOp {
             dt,
             kind,
-            a,
             stencil,
             prec,
         });
@@ -790,10 +778,10 @@ impl ThermalModel {
     fn with_transient_op<R>(
         &self,
         dt: f64,
-        f: impl FnOnce(Operator<'_>, &Preconditioner) -> R,
+        f: impl FnOnce(&StencilOperator, &Preconditioner) -> R,
     ) -> R {
         let op = self.transient_op(dt);
-        f(Operator::with_stencil(&op.a, &op.stencil), &op.prec)
+        f(&op.stencil, &op.prec)
     }
 
     /// One backward-Euler step of `dt` seconds, in place: forms the BE

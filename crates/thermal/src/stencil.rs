@@ -42,10 +42,17 @@
 //! entry-by-entry during extraction and refuses (returns `None`) on any
 //! matrix that is not exactly this shape.
 //!
-//! Parallel sweeps reuse the CSR kernel's row-chunk partition
-//! ([`crate::csr`]'s `ROW_CHUNK` / [`PAR_MIN_ROWS`]). A chunk may start
-//! or end mid-line; each row's fold is the same either way, so serial
-//! and parallel runs remain bitwise identical across thread counts.
+//! Parallel sweeps chunk rows on the partition the solver's reductions
+//! use ([`crate::csr`]'s `ROW_CHUNK` / [`PAR_MIN_ROWS`]). A chunk may
+//! start or end mid-line; each row's fold is the same either way, so
+//! serial and parallel runs remain bitwise identical across thread
+//! counts.
+//!
+//! Every solve multiplies through a [`StencilOperator`]; the CSR is
+//! only the build-time input it is extracted from. A general matrix
+//! fits the `(1, 1, 1)` geometry — row 0 is its diagonal plus rim, and
+//! every other row is a tail row folded exactly like the CSR row — so
+//! tests solve hand-built matrices through the same operator.
 
 use rayon::{current_num_threads, scope};
 
@@ -244,6 +251,15 @@ impl StencilOperator {
     #[must_use]
     pub fn grid_nodes(&self) -> usize {
         self.nl * self.cells
+    }
+
+    /// The diagonal coefficients in row order: the `diag` plane, then
+    /// each tail row's diagonal entry. Bitwise [`CsrMatrix::diagonal`]
+    /// of the matrix the stencil was extracted from.
+    #[must_use]
+    pub fn diagonal(&self) -> Vec<f64> {
+        let tail = self.tail_diag.iter().map(|&k| self.tail_vals[k as usize]);
+        self.diag.iter().copied().chain(tail).collect()
     }
 
     /// A clone with `patch[i]` added to each diagonal coefficient — the
@@ -458,7 +474,7 @@ impl StencilOperator {
     }
 
     /// `y = A x`, row-chunked across the rayon pool on the same
-    /// `ROW_CHUNK` partition as [`CsrMatrix::matvec_parallel`]; bitwise
+    /// `ROW_CHUNK` partition the solver's reductions use; bitwise
     /// identical to [`StencilOperator::matvec_serial`].
     pub fn matvec_parallel(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.n);
@@ -472,8 +488,8 @@ impl StencilOperator {
         });
     }
 
-    /// `y = A x`, picking the parallel path under the same
-    /// [`PAR_MIN_ROWS`] gate as [`CsrMatrix::matvec`].
+    /// `y = A x`, picking the parallel path when the operator has at
+    /// least [`PAR_MIN_ROWS`] rows and the pool more than one thread.
     pub fn matvec(&self, x: &[f64], y: &mut [f64]) {
         if self.n >= PAR_MIN_ROWS && current_num_threads() > 1 {
             self.matvec_parallel(x, y);
@@ -613,6 +629,12 @@ mod tests {
         let patch: Vec<f64> = (0..a.n()).map(|i| 0.3 + (i as f64) * 0.017).collect();
         let ap = a.with_diagonal_added(&patch);
         let sp = s.with_diagonal_added(&patch);
+        // The Jacobi retry reads this diagonal, tail rows included.
+        for (csr, st) in [(&a, &s), (&ap, &sp)] {
+            let (dc, ds) = (csr.diagonal(), st.diagonal());
+            assert_eq!(ds.len(), a.n());
+            assert!(dc.iter().zip(&ds).all(|(c, d)| c.to_bits() == d.to_bits()));
+        }
         let x = probe(a.n());
         let mut yc = vec![0.0; a.n()];
         let mut ys = vec![0.0; a.n()];

@@ -5,15 +5,16 @@
 //! hands them.
 
 use xylem_stack::{StackConfig, XylemScheme};
-use xylem_thermal::gmg::GmgHierarchy;
+use xylem_thermal::gmg::{GmgHierarchy, GmgScratch};
 use xylem_thermal::layer::Layer;
 use xylem_thermal::material::{D2D_AVERAGE, SILICON};
 use xylem_thermal::package::Package;
 use xylem_thermal::reduce::pairwise_dot;
 use xylem_thermal::solve::{
-    solve_cg, solve_cg_resilient, DeadlineGuard, Operator, Preconditioner, PreconditionerKind,
+    solve_cg, solve_cg_resilient, DeadlineGuard, Preconditioner, PreconditionerKind,
     RecoveryReport, SolveStats, SolverOptions, SolverWorkspace,
 };
+use xylem_thermal::temperature::TemperatureField;
 use xylem_thermal::units::Watts;
 use xylem_thermal::{
     CsrMatrix, GridSpec, PowerMap, Stack, StencilOperator, ThermalError, ThermalModel,
@@ -83,11 +84,17 @@ fn stack_matrix(nx: usize, ny: usize, nl: usize) -> CsrMatrix {
 
 const ALL_KINDS: [PreconditionerKind; 2] = [PreconditionerKind::Jacobi, PreconditionerKind::Gmg];
 
+/// `a` as a stencil of the `(1, 1, 1)` geometry, which every matrix with
+/// a diagonal fits: row 0 plus rim, then tail rows folded like the CSR.
+fn op(a: &CsrMatrix) -> StencilOperator {
+    StencilOperator::from_csr(a, 1, 1, 1).expect("every matrix fits (1, 1, 1)")
+}
+
 /// `kind` built for `a`; GMG sees the matrix as one cell column of `n`
 /// layers, which every matrix with a diagonal is.
 fn build(a: &CsrMatrix, kind: PreconditionerKind) -> Preconditioner {
     match kind {
-        PreconditionerKind::Jacobi => Preconditioner::jacobi(a),
+        PreconditionerKind::Jacobi => Preconditioner::jacobi(&op(a)),
         PreconditionerKind::Gmg => {
             Preconditioner::build_gmg(a, 1, 1, a.n()).expect("column geometry")
         }
@@ -105,14 +112,7 @@ fn solve(
         preconditioner: kind,
         ..SolverOptions::default()
     };
-    solve_cg(
-        Operator::csr(a),
-        &prec,
-        b,
-        x,
-        &mut SolverWorkspace::new(),
-        &options,
-    )
+    solve_cg(&op(a), &prec, b, x, &mut SolverWorkspace::new(), &options)
 }
 
 /// A resilient solve of `chain(n, 2.02)` with `b = 1` whose configured
@@ -134,7 +134,7 @@ fn starved_ladder(
     let mut report = RecoveryReport::default();
     let mut x = vec![0.0; n];
     let result = solve_cg_resilient(
-        Operator::csr(&a),
+        &op(&a),
         &prec,
         &vec![1.0; n],
         &mut x,
@@ -193,8 +193,7 @@ fn empty_matrix_lowers_and_multiplies() {
     assert_eq!((a.n(), a.nnz()), (0, 0));
     assert!(a.diagonal().is_empty());
     let mut y: Vec<f64> = Vec::new();
-    a.matvec(&[], &mut y);
-    a.matvec_parallel(&[], &mut y);
+    a.matvec_serial(&[], &mut y);
     assert!(y.is_empty());
 }
 
@@ -256,14 +255,17 @@ fn summed_triplets_without_duplicates_match_plain_triplets() {
 
 #[test]
 fn dispatching_matvec_is_bitwise_serial_on_both_sides_of_the_threshold() {
+    // The stencil matvec every solve runs switches to the parallel sweep
+    // at PAR_MIN_ROWS; on both sides it matches the serial CSR kernel.
     use xylem_thermal::csr::PAR_MIN_ROWS;
     for n in [2, 3, PAR_MIN_ROWS + 5] {
         let (nbrs, diag) = chain_adjacency(n);
         let a = CsrMatrix::from_adjacency(&nbrs, &diag);
+        let s = StencilOperator::from_csr(&a, n, 1, 1).expect("a chain is a row of cells");
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let (mut ys, mut yd) = (vec![0.0; n], vec![f64::NAN; n]);
         a.matvec_serial(&x, &mut ys);
-        a.matvec(&x, &mut yd);
+        s.matvec(&x, &mut yd);
         assert_eq!(bits(&ys), bits(&yd), "n = {n}");
     }
 }
@@ -298,7 +300,7 @@ fn fallback_ladder_holds_each_kind_once_and_ends_at_jacobi() {
         };
         let mut report = RecoveryReport::default();
         let err = solve_cg_resilient(
-            Operator::csr(&a),
+            &op(&a),
             &build(&a, kind),
             &b,
             &mut vec![0.0; n],
@@ -351,11 +353,11 @@ fn gmg_build_needs_a_geometry_that_fits_the_matrix() {
 
 #[test]
 fn jacobi_apply_scales_by_the_reciprocal_diagonal() {
-    let a = chain(9, 2.5);
+    let a = op(&chain(9, 2.5));
     let prec = Preconditioner::jacobi(&a);
     let r: Vec<f64> = (0..9).map(|i| i as f64 - 3.5).collect();
     let mut z = vec![0.0; 9];
-    prec.apply_timed(Operator::csr(&a), &r, &mut z);
+    prec.apply_timed(&a, &r, &mut z, &mut SolverWorkspace::new());
     for (zi, ri) in z.iter().zip(&r) {
         assert_eq!(zi.to_bits(), (ri * (1.0 / 2.5)).to_bits());
     }
@@ -366,7 +368,7 @@ fn jacobi_apply_scales_by_the_reciprocal_diagonal() {
 /// row (real in-plane coarsening).
 fn every_preconditioner(a: &CsrMatrix, n: usize) -> Vec<Preconditioner> {
     vec![
-        Preconditioner::jacobi(a),
+        Preconditioner::jacobi(&op(a)),
         Preconditioner::build_gmg(a, 1, 1, n).expect("column geometry"),
         Preconditioner::build_gmg(a, n, 1, 1).expect("row geometry"),
     ]
@@ -379,10 +381,11 @@ fn preconditioner_apply_is_symmetric() {
     let a = chain(n, 2.05);
     let r: Vec<f64> = (0..n).map(|i| ((i * 13) % 17) as f64 - 8.0).collect();
     let s: Vec<f64> = (0..n).map(|i| ((i * 7) % 5) as f64 + 0.5).collect();
+    let (a_op, mut ws) = (op(&a), SolverWorkspace::new());
     for prec in every_preconditioner(&a, n) {
         let (mut zr, mut zs) = (vec![0.0; n], vec![0.0; n]);
-        prec.apply_timed(Operator::csr(&a), &r, &mut zr);
-        prec.apply_timed(Operator::csr(&a), &s, &mut zs);
+        prec.apply_timed(&a_op, &r, &mut zr, &mut ws);
+        prec.apply_timed(&a_op, &s, &mut zs, &mut ws);
         let (lhs, rhs) = (pairwise_dot(&zr, &s), pairwise_dot(&r, &zs));
         let kind = prec.kind();
         assert!(
@@ -397,13 +400,14 @@ fn preconditioner_apply_is_positive_definite() {
     // PCG also needs <r, M^-1 r> > 0 for every nonzero r.
     let n = 150;
     let a = chain(n, 2.05);
+    let (a_op, mut ws) = (op(&a), SolverWorkspace::new());
     for prec in every_preconditioner(&a, n) {
         for seed in 0..4 {
             let r: Vec<f64> = (0..n)
                 .map(|i| ((i * (seed + 3) + seed) % 11) as f64 - 5.0)
                 .collect();
             let mut z = vec![0.0; n];
-            prec.apply_timed(Operator::csr(&a), &r, &mut z);
+            prec.apply_timed(&a_op, &r, &mut z, &mut ws);
             let rz = pairwise_dot(&r, &z);
             assert!(rz > 0.0, "{:?} seed {seed}: {rz}", prec.kind());
         }
@@ -432,8 +436,12 @@ fn gmg_v_cycle_is_linear_in_the_residual() {
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let r2: Vec<f64> = r.iter().map(|v| 2.0 * v).collect();
     let (mut z, mut z2) = (vec![0.0; n], vec![0.0; n]);
-    h.apply(Operator::csr(&a), &r, &mut z);
-    h.apply(Operator::csr(&a), &r2, &mut z2);
+    let (s, mut scratch) = (
+        StencilOperator::from_csr(&a, nx, ny, nl).expect("stencil"),
+        GmgScratch::default(),
+    );
+    h.apply(&s, &r, &mut z, &mut scratch);
+    h.apply(&s, &r2, &mut z2, &mut scratch);
     let doubled: Vec<f64> = z.iter().map(|v| 2.0 * v).collect();
     assert_eq!(bits(&doubled), bits(&z2));
 }
@@ -447,8 +455,9 @@ fn gmg_clone_applies_bitwise_like_the_original() {
     let n = a.n();
     let r: Vec<f64> = (0..n).map(|i| ((i * 11) % 13) as f64 - 6.0).collect();
     let (mut z, mut zc) = (vec![0.0; n], vec![1.0; n]);
-    h.apply(Operator::csr(&a), &r, &mut z);
-    c.apply(Operator::csr(&a), &r, &mut zc);
+    let s = StencilOperator::from_csr(&a, nx, ny, nl).expect("stencil");
+    h.apply(&s, &r, &mut z, &mut GmgScratch::default());
+    c.apply(&s, &r, &mut zc, &mut GmgScratch::default());
     assert_eq!(bits(&z), bits(&zc));
 }
 
@@ -492,11 +501,12 @@ fn resilient_without_fallback_surfaces_the_failure() {
         preconditioner: PreconditionerKind::Jacobi,
         fallback: false,
     };
+    let a = op(&a);
     let prec = Preconditioner::jacobi(&a);
     let mut report = RecoveryReport::default();
     let mut x = vec![0.0; 100];
     let err = solve_cg_resilient(
-        Operator::csr(&a),
+        &a,
         &prec,
         &b,
         &mut x,
@@ -566,7 +576,7 @@ fn workspace_reuse_across_sizes_is_bitwise_stable() {
         let prec = build(&a, opts.preconditioner);
         let b: Vec<f64> = (0..n).map(|i| ((i * 5) % 9) as f64 * 0.3).collect();
         let mut x = vec![0.0; n];
-        solve_cg(Operator::csr(&a), &prec, &b, &mut x, ws, &opts).unwrap();
+        solve_cg(&op(&a), &prec, &b, &mut x, ws, &opts).unwrap();
         x
     };
     let fresh_small = run(60, &mut SolverWorkspace::new());
@@ -584,14 +594,6 @@ fn deadline_guard_is_per_thread() {
     assert!(DeadlineGuard::active());
     let other = std::thread::spawn(DeadlineGuard::active).join().unwrap();
     assert!(!other, "a guard on one thread must not leak to another");
-}
-
-#[test]
-fn operator_exposes_the_matrix_it_wraps() {
-    let a = chain(10, 2.0);
-    let s = StencilOperator::from_csr(&a, 10, 1, 1).expect("a chain is a row of cells");
-    assert!(std::ptr::eq(Operator::csr(&a).matrix(), &a));
-    assert!(std::ptr::eq(Operator::with_stencil(&a, &s).matrix(), &a));
 }
 
 // ---- The model's conductance matrix -----------------------------------
@@ -713,11 +715,7 @@ fn solver_output_bits_are_pinned() {
     let n = model.node_count();
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 0.25).collect();
     let mut z = vec![0.0; n];
-    prec.apply_timed(
-        Operator::with_stencil(model.csr(), model.stencil()),
-        &r,
-        &mut z,
-    );
+    prec.apply_timed(model.stencil(), &r, &mut z, &mut SolverWorkspace::new());
     assert_eq!(bits_digest(&z), "217c1a9c06856811");
 
     // Its steady solve, then 12 one-step backward-Euler calls under a
@@ -749,4 +747,68 @@ fn solver_output_bits_are_pinned() {
     let t = model.steady_state(&power).unwrap();
     assert_eq!(bits_digest(t.raw()), "b5742221ea90a797");
     assert_eq!(t.stats().iterations, 16);
+}
+
+// ---- Caller-owned V-cycle scratch ---------------------------------------
+
+/// `steps` one-step backward-Euler calls of `dt` from ambient through
+/// `ws`, as the bits of every state.
+fn stepped_bits(
+    model: &ThermalModel,
+    power: &PowerMap,
+    steps: usize,
+    ws: &mut SolverWorkspace,
+) -> Vec<u64> {
+    let mut t = TemperatureField::uniform(model, model.ambient());
+    let mut out = Vec::new();
+    for _ in 0..steps {
+        t = model.transient_with(power, &t, 1e-3, 1, None, ws).unwrap();
+        out.extend(bits(t.raw()));
+    }
+    out
+}
+
+#[test]
+fn threads_sharing_one_model_step_bitwise_like_a_serial_run() {
+    // The serve pattern: two sessions step one shared model, so both
+    // apply the one cached GMG hierarchy at once, each V-cycle in its
+    // own workspace.
+    let (model, power) = paper_model(XylemScheme::BankEnhanced, 32, 18.0);
+    let serial = stepped_bits(&model.clone(), &power, 6, &mut SolverWorkspace::new());
+    let start = std::sync::Barrier::new(2);
+    let runs: Vec<Vec<u64>> = std::thread::scope(|sc| {
+        let workers: Vec<_> = (0..2)
+            .map(|_| {
+                sc.spawn(|| {
+                    start.wait();
+                    stepped_bits(&model, &power, 6, &mut SolverWorkspace::new())
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    for (k, run) in runs.iter().enumerate() {
+        assert!(*run == serial, "thread {k} differs from the serial run");
+    }
+}
+
+#[test]
+fn one_workspace_across_grid_sizes_is_bitwise_fresh() {
+    // 16x16 and 32x32 hierarchies differ in depth and level sizes, so
+    // the reused scratch shrinks and grows between the solves.
+    let models = [16, 32, 16].map(|g| paper_model(XylemScheme::Base, g, 18.0));
+    let mut ws = SolverWorkspace::new();
+    for (model, power) in &models {
+        let reused = model.steady_state_from(power, None, &mut ws).unwrap();
+        let fresh = model
+            .steady_state_from(power, None, &mut SolverWorkspace::new())
+            .unwrap();
+        let grid = model.grid().nx();
+        assert_eq!(bits(reused.raw()), bits(fresh.raw()), "{grid}x{grid}");
+        let steps = stepped_bits(model, power, 3, &mut ws);
+        assert!(
+            steps == stepped_bits(model, power, 3, &mut SolverWorkspace::new()),
+            "{grid}x{grid} transient"
+        );
+    }
 }
