@@ -396,17 +396,7 @@ fn main() {
 
         // Chaos drill: keep the injected panics from spraying
         // backtraces into the bench output.
-        std::panic::set_hook(Box::new(|info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains("chaos: injected panic") {
-                eprintln!("{info}");
-            }
-        }));
+        xylem::supervise::silence_expected_panics();
         let mut chaos_opts = opts;
         chaos_opts.max_attempts = 2;
         chaos_opts.chaos = Some(ChaosConfig {
@@ -416,7 +406,6 @@ fn main() {
             deadline_per_mille: 100,
         });
         let drill = run_sweep(&spec, &chaos_opts).expect("chaos drill sweep");
-        let _ = std::panic::take_hook();
 
         SweepGrid {
             grid: 16,

@@ -52,6 +52,7 @@ pub mod migration;
 pub mod placement;
 pub mod response;
 pub mod sensor;
+pub mod supervise;
 pub mod system;
 
 pub use error::{CheckpointError, ConfigError, SweepError, XylemError};

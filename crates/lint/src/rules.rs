@@ -92,6 +92,7 @@ const NO_PANIC_SUFFIXES: &[&str] = &[
     "crates/core/src/sensor.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/durable.rs",
+    "crates/core/src/supervise.rs",
     "crates/thermal/src/solve.rs",
     "crates/thermal/src/model.rs",
     "crates/thermal/src/adaptive.rs",
@@ -100,12 +101,10 @@ const NO_PANIC_SUFFIXES: &[&str] = &[
     // The serve scheduler and its durability layer absorb panics,
     // deadline misses, and SIGKILL; an unwrap here is a crash vector
     // in the component whose whole contract is "crash-only, never
-    // crash-prone". (chaos.rs is exempt: its injected panics are the
-    // test signal, and lib.rs hosts the panic-silencing hook.)
+    // crash-prone".
     "crates/serve/src/scheduler.rs",
     "crates/serve/src/session.rs",
     "crates/serve/src/spool.rs",
-    "crates/serve/src/pool.rs",
 ];
 
 /// Print-family macros banned by rule 5.

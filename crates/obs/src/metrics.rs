@@ -125,9 +125,6 @@ metric_enum!(
         /// Slow-client overflows: a session's outbound buffer filled and
         /// streaming was shed for that client (frames stay durable).
         ServeSlowClientSheds => "serve_slow_client_sheds",
-        /// Slice outcomes lost to a dead worker pool (the tick barrier
-        /// degraded to applying only what arrived).
-        ServeOutcomesLost => "serve_outcomes_lost",
         /// Shared-model materializations that failed at dispatch (the
         /// session quarantines; the server keeps serving).
         ServeMaterializationFailures => "serve_materialization_failures",

@@ -3,7 +3,8 @@
 //!
 //! The server accepts scenario submissions (source + workload
 //! parameters + budgets), runs hundreds of concurrent transient
-//! sessions over a bounded worker pool, and streams per-session JSONL
+//! sessions a batch of slices per tick on fork-join worker threads
+//! ([`xylem::supervise::fork_join`]), and streams per-session JSONL
 //! frames and lifecycle events over a line-delimited stdio/socket
 //! protocol ([`protocol`]).
 //!
@@ -29,7 +30,6 @@
 
 pub mod chaos;
 pub mod error;
-pub mod pool;
 pub mod protocol;
 pub mod scheduler;
 pub mod selftest;
@@ -42,24 +42,3 @@ pub use scheduler::{
     ResumeReport, Server, ServerConfig, ServerStatus, Submission, SubmitParams, TenantQuota,
 };
 pub use selftest::{run_selftest, SelftestConfig, SelftestReport};
-
-/// Installs (once, process-wide) a panic hook that keeps expected
-/// chaos-injected panics from spraying backtraces while still printing
-/// every genuine panic. Harness entry points call this before enabling
-/// fault injection.
-pub fn silence_expected_panics() {
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        std::panic::set_hook(Box::new(|info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains(chaos::CHAOS_PANIC_MARKER) {
-                eprintln!("{info}");
-            }
-        }));
-    });
-}

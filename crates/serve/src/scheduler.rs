@@ -5,11 +5,13 @@
 //!
 //! Time is divided into *ticks*. Each tick the scheduler picks at most
 //! `round_slots` runnable sessions — round-robin across tenants, so no
-//! tenant's backlog can starve another — dispatches one slice per
-//! picked session to the bounded pool, blocks for exactly that batch,
-//! and applies the outcomes **sorted by session id**. The barrier plus
-//! the sort makes the authoritative state evolution deterministic even
-//! though slice completion order on the pool is not.
+//! tenant's backlog can starve another — builds one slice request per
+//! picked session on the tick thread, runs the batch with
+//! [`fork_join`] over `workers` threads (joined before it returns; `0`
+//! runs the batch inline), and applies the outcomes **sorted by session
+//! id**. The join plus the sort makes the authoritative state evolution
+//! deterministic, and independent of the worker count, even though
+//! slice completion order on the workers is not.
 //!
 //! # Crash-only durability
 //!
@@ -31,17 +33,15 @@
 //! slice ran on a snapshot) and is retried up to `max_attempts`.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::time::Instant;
 
+use xylem::supervise::fork_join;
 use xylem_obs::metrics::{incr, record_ns, Counter, Hist};
 
 use crate::chaos::ChaosConfig;
 use crate::error::{Rejection, ServeError};
-use crate::pool::BoundedPool;
 use crate::session::{
     run_slice, ModelRegistry, SessionSpec, SessionState, SharedModel, SliceOutcome, SliceRequest,
 };
@@ -70,7 +70,8 @@ impl Default for TenantQuota {
 pub struct ServerConfig {
     /// Spool directory (created if missing).
     pub spool_dir: PathBuf,
-    /// Worker threads; `0` runs slices inline (deterministic mode).
+    /// Slice worker threads per tick; `0` runs slices inline on the
+    /// tick thread. Outcomes do not depend on the count.
     pub workers: usize,
     /// Max slices dispatched per tick.
     pub round_slots: usize,
@@ -150,7 +151,6 @@ impl Default for SubmitParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
     Runnable,
-    InFlight,
     Suspended { until_tick: u64 },
 }
 
@@ -229,8 +229,6 @@ pub struct ResumeReport {
     pub already_quarantined: usize,
 }
 
-type OutcomeMsg = (u64, SliceOutcome, u64);
-
 /// The serve scheduler. See the module docs for the execution model.
 pub struct Server {
     cfg: ServerConfig,
@@ -244,9 +242,6 @@ pub struct Server {
     done: BTreeSet<u64>,
     quarantined: BTreeSet<u64>,
     outputs: BTreeMap<u64, ClientBuffer>,
-    pool: BoundedPool,
-    tx: Sender<OutcomeMsg>,
-    rx: Receiver<OutcomeMsg>,
     tick: u64,
     ring_offset: usize,
     next_id: u64,
@@ -274,8 +269,6 @@ impl Server {
             registry.restore(key, source);
         }
 
-        let pool = BoundedPool::new(cfg.workers, cfg.round_slots.max(1));
-        let (tx, rx) = channel();
         let mut server = Server {
             spool,
             registry,
@@ -284,9 +277,6 @@ impl Server {
             done: done.keys().copied().collect(),
             quarantined,
             outputs: BTreeMap::new(),
-            pool,
-            tx,
-            rx,
             tick: 0,
             ring_offset: 0,
             next_id: max_id + 1,
@@ -500,33 +490,34 @@ impl Server {
             }
         }
 
-        let picked = self.select();
-        let mut dispatched = 0usize;
-        for id in picked {
-            match self.dispatch(id) {
-                Ok(true) => dispatched += 1,
-                Ok(false) => {}
-                Err(e) => return Err(e),
+        let mut ids = Vec::new();
+        let mut requests = Vec::new();
+        for id in self.select() {
+            if let Some(req) = self.slice_request(id)? {
+                ids.push(id);
+                requests.push(req);
             }
         }
-
-        let mut outcomes: Vec<OutcomeMsg> = Vec::with_capacity(dispatched);
-        for _ in 0..dispatched {
-            match self.rx.recv() {
-                Ok(msg) => outcomes.push(msg),
-                // The senders live in jobs we just submitted; a closed
-                // channel means the pool died, which is unreachable —
-                // but degrade to "apply what arrived" rather than hang.
-                Err(_) => {
-                    xylem_obs::metrics::incr(Counter::ServeOutcomesLost);
-                    break;
-                }
-            }
-        }
-        outcomes.sort_by_key(|(id, _, _)| *id);
+        let results = fork_join(self.cfg.workers, requests, |req| {
+            let _clock = SliceClock(Instant::now());
+            run_slice(&req)
+        });
+        let mut outcomes: Vec<(u64, SliceOutcome)> = ids
+            .into_iter()
+            .zip(results)
+            .map(|(id, result)| {
+                let outcome = result.unwrap_or_else(|message| {
+                    // The containment point: every session panic in the
+                    // whole service funnels through here and is counted.
+                    incr(Counter::ServePanicsCaught);
+                    SliceOutcome::Panicked { message }
+                });
+                (id, outcome)
+            })
+            .collect();
+        outcomes.sort_by_key(|(id, _)| *id);
         let applied = outcomes.len();
-        for (id, outcome, elapsed_ns) in outcomes {
-            record_ns(Hist::ServeSliceMs, elapsed_ns);
+        for (id, outcome) in outcomes {
             self.apply(id, outcome)?;
         }
 
@@ -557,11 +548,12 @@ impl Server {
         )))
     }
 
-    /// Dispatches one slice for `id`. Returns whether a job is now in
-    /// flight (quarantine at materialization returns `Ok(false)`).
-    fn dispatch(&mut self, id: u64) -> Result<bool, ServeError> {
+    /// Builds the slice request for `id` on a snapshot of its state,
+    /// materializing its model first if needed (`None` if the session
+    /// is gone or was quarantined at materialization).
+    fn slice_request(&mut self, id: u64) -> Result<Option<SliceRequest>, ServeError> {
         let Some(s) = self.sessions.get_mut(&id) else {
-            return Ok(false);
+            return Ok(None);
         };
         if s.shared.is_none() {
             match self.registry.acquire(s.spec.source_key) {
@@ -572,38 +564,19 @@ impl Server {
                     xylem_obs::metrics::incr(Counter::ServeMaterializationFailures);
                     let reason = format!("model materialization failed: {e}");
                     self.quarantine(id, &reason)?;
-                    return Ok(false);
+                    return Ok(None);
                 }
             }
         }
-        let Some(s) = self.sessions.get_mut(&id) else {
-            return Ok(false);
+        let Some(s) = self.sessions.get(&id) else {
+            return Ok(None);
         };
-        let Some(shared) = s.shared.clone() else {
-            return Ok(false);
-        };
-        let req = SliceRequest {
+        Ok(s.shared.clone().map(|shared| SliceRequest {
             shared,
             spec: s.spec.clone(),
             state: s.state.clone(),
             chaos: self.cfg.chaos,
-        };
-        s.phase = Phase::InFlight;
-        let fallback = SliceRequest {
-            shared: Arc::clone(&req.shared),
-            spec: req.spec.clone(),
-            state: req.state.clone(),
-            chaos: req.chaos,
-        };
-        let tx = self.tx.clone();
-        let job = move || run_and_report(id, &req, &tx);
-        // The pool queue is sized to round_slots, so within one tick's
-        // batch submission cannot saturate; if it somehow does, run the
-        // slice inline rather than dropping the dispatch.
-        if self.pool.try_submit(job).is_err() {
-            run_and_report(id, &fallback, &self.tx);
-        }
-        Ok(true)
+        }))
     }
 
     fn push_line(&mut self, id: u64, line: String) {
@@ -628,9 +601,6 @@ impl Server {
     fn apply(&mut self, id: u64, outcome: SliceOutcome) -> Result<(), ServeError> {
         if !self.sessions.contains_key(&id) {
             return Ok(());
-        }
-        if let Some(s) = self.sessions.get_mut(&id) {
-            s.phase = Phase::Runnable;
         }
         match outcome {
             SliceOutcome::Advanced { state, frame } => {
@@ -719,8 +689,7 @@ impl Server {
             SliceOutcome::Failed { error } | SliceOutcome::Panicked { message: error } => {
                 // The slice ran on a snapshot: authoritative state is
                 // untouched (poisoned-state teardown by construction).
-                // (Panics were already counted at the catch site in
-                // `run_and_report`.)
+                // (Panics were already counted in `tick`.)
                 let (snapshot, attempts) = {
                     let Some(s) = self.sessions.get_mut(&id) else {
                         return Ok(());
@@ -810,11 +779,10 @@ impl Server {
         self.quarantined.iter().copied().collect()
     }
 
-    /// Stops the pool and returns. All state is already durable — the
-    /// graceful path and `kill -9` converge on the same spool contents.
-    pub fn shutdown(self) {
-        self.pool.shutdown();
-    }
+    /// Closes the server. Every tick joins its workers and all state is
+    /// already durable, so there is nothing to drain — the graceful
+    /// path and `kill -9` converge on the same spool contents.
+    pub fn shutdown(self) {}
 }
 
 /// Serializes a lifecycle event as a JSONL line.
@@ -836,32 +804,13 @@ fn event_json(id: u64, kind: &str, detail: &str) -> String {
     serde_json::to_string(&serde::Value::Object(m)).unwrap_or_default()
 }
 
-/// Runs one slice with the mandatory `catch_unwind` wrapper and sends
-/// its outcome (always — the barrier in `tick` counts on it).
-fn run_and_report(id: u64, req: &SliceRequest, tx: &Sender<OutcomeMsg>) {
-    let started = Instant::now();
-    let outcome = match catch_unwind(AssertUnwindSafe(|| run_slice(req))) {
-        Ok(o) => o,
-        Err(payload) => {
-            // The containment point: every session panic in the whole
-            // service funnels through this branch and is counted here.
-            xylem_obs::metrics::incr(Counter::ServePanicsCaught);
-            SliceOutcome::Panicked {
-                message: panic_message(payload.as_ref()),
-            }
-        }
-    };
-    let elapsed = started.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-    let _ = tx.send((id, outcome, elapsed));
-}
+/// Records a slice's wall time into `serve_slice_ms` when dropped, so
+/// a slice that panics is timed too.
+struct SliceClock(Instant);
 
-/// Renders a panic payload (the sweep engine's downcast idiom).
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
+impl Drop for SliceClock {
+    fn drop(&mut self) {
+        let ns = self.0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
+        record_ns(Hist::ServeSliceMs, ns);
     }
 }

@@ -30,7 +30,7 @@ pub struct SelftestConfig {
     pub sessions: usize,
     /// Distinct tenants to spread them over.
     pub tenants: usize,
-    /// Pool worker threads.
+    /// Slice worker threads per tick.
     pub workers: usize,
     /// Campaign seed (chaos decisions and job parameters).
     pub seed: u64,
@@ -191,7 +191,7 @@ fn campaign_config(spool: &Path, workers: usize, chaos: Option<ChaosConfig>) -> 
 /// [`ServeError::Protocol`] when a verified contract does not hold
 /// (the harness treats a broken contract as a hard failure).
 pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, ServeError> {
-    crate::silence_expected_panics();
+    xylem::supervise::silence_expected_panics();
     let campaign_dir = cfg.spool.join("campaign");
     let _ = std::fs::remove_dir_all(&campaign_dir);
 
@@ -299,18 +299,20 @@ pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, ServeError> 
         ));
     }
 
-    // Bit-identity: re-run a sample of completed sessions in a fresh,
-    // chaos-free, single-threaded server and compare final digests.
-    report.verified = verify_sample(&campaign_dir, cfg, &fleet, &admitted, &done_ids)?;
-
-    // Latency percentiles (process-cumulative, which is fine: the
-    // campaign dominates this process's serve histograms).
+    // Latency percentiles, taken before the verification replay adds
+    // its own sessions (process-cumulative, which is fine: the campaign
+    // dominates this process's serve histograms up to here).
     let ff = summarize(Hist::ServeFirstFrameMs);
     let ss = summarize(Hist::ServeSessionMs);
     report.p50_first_frame_ms = ff.p50_ms;
     report.p99_first_frame_ms = ff.p99_ms;
     report.p50_session_ms = ss.p50_ms;
     report.p99_session_ms = ss.p99_ms;
+
+    // Bit-identity: re-run every completed session in a fresh,
+    // chaos-free, inline server and compare final digests. The campaign
+    // ran on `cfg.workers` threads, so this is a worker-count check too.
+    report.verified = verify_completed(&campaign_dir, cfg, &fleet, &admitted, &done_ids)?;
 
     if cfg.kill_drill {
         run_kill_drill(cfg)?;
@@ -323,9 +325,10 @@ pub fn run_selftest(cfg: &SelftestConfig) -> Result<SelftestReport, ServeError> 
     Ok(report)
 }
 
-/// Re-runs up to 8 completed sessions chaos-free and compares the
-/// durable `done` digests. Returns how many were verified.
-fn verify_sample(
+/// Re-runs every completed session chaos-free in a fresh, inline
+/// (`workers = 0`) server and compares the durable `done` digests.
+/// Returns how many were verified.
+fn verify_completed(
     campaign_dir: &Path,
     cfg: &SelftestConfig,
     fleet: &[ClientJob],
@@ -336,30 +339,36 @@ fn verify_sample(
     let (_, scan) = Spool::open(campaign_dir, false)?;
     let verify_dir = cfg.spool.join("verify");
     let _ = std::fs::remove_dir_all(&verify_dir);
-    let mut vcfg = campaign_config(&verify_dir, 0, None);
-    vcfg.queue_cap = 16;
-    let (mut vserver, _) = Server::open(vcfg)?;
-    let mut verified = 0u64;
-    for &id in done_ids.iter().take(8) {
+    let (mut vserver, _) = Server::open(campaign_config(&verify_dir, 0, None))?;
+    // Reference session id -> campaign session id.
+    let mut replays: BTreeMap<u64, u64> = BTreeMap::new();
+    for &id in done_ids {
         let Some(&idx) = admitted.get(&id) else {
             continue;
         };
         let job = &fleet[idx];
-        let vid = match vserver.submit(&job.tenant, &job.scenario, &job.params)? {
-            Submission::Admitted(v) => v,
-            Submission::Rejected(r) => {
-                return Err(ServeError::Protocol(format!("verify submit rejected: {r}")))
+        let vid = loop {
+            match vserver.submit(&job.tenant, &job.scenario, &job.params)? {
+                Submission::Admitted(v) => break v,
+                // Admission backpressure: let the backlog drain first.
+                Submission::Rejected(r) if r.is_transient() => {
+                    vserver.run_until_settled(10_000)?;
+                }
+                Submission::Rejected(r) => {
+                    return Err(ServeError::Protocol(format!("verify submit rejected: {r}")))
+                }
             }
         };
-        vserver.run_until_settled(10_000)?;
-        let (_, vscan) = Spool::open(&verify_dir, false)?;
-        let (reference, live) = match (vscan.done.get(&vid), scan.done.get(&id)) {
-            (Some(r), Some(l)) => (r.clone(), l.clone()),
-            _ => {
-                return Err(ServeError::Protocol(format!(
-                    "verify run for session {id} has no done record"
-                )))
-            }
+        replays.insert(vid, id);
+    }
+    vserver.run_until_settled(10_000)?;
+    vserver.shutdown();
+    let (_, vscan) = Spool::open(&verify_dir, false)?;
+    for (vid, id) in &replays {
+        let (Some(reference), Some(live)) = (vscan.done.get(vid), scan.done.get(id)) else {
+            return Err(ServeError::Protocol(format!(
+                "verify run for session {id} has no done record"
+            )));
         };
         if reference.final_digest != live.final_digest || reference.step != live.step {
             return Err(ServeError::Protocol(format!(
@@ -368,11 +377,9 @@ fn verify_sample(
                 live.final_digest, reference.final_digest, live.step, reference.step
             )));
         }
-        verified += 1;
     }
-    vserver.shutdown();
     let _ = std::fs::remove_dir_all(&verify_dir);
-    Ok(verified)
+    Ok(replays.len() as u64)
 }
 
 /// The deterministic fleet the SIGKILL drill child runs.

@@ -1,5 +1,5 @@
 //! Session model: specs, resumable state, shared compiled scenarios,
-//! and the slice runner that the scheduler dispatches to the pool.
+//! and the slice runner that the scheduler's fork-join workers run.
 //!
 //! A session is a transient thermal simulation chopped into *slices*:
 //! each slice advances the field by one frame stride of backward-Euler
@@ -13,6 +13,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, Weak};
 
 use serde::{Deserialize, Serialize};
+use xylem::supervise::{Fault, CHAOS_PANIC_MARKER};
 use xylem_obs::hash::{fnv1a_serve, fnv1a_serve_extend};
 use xylem_scenario::digest::field_digest;
 use xylem_thermal::error::ThermalError;
@@ -21,7 +22,7 @@ use xylem_thermal::power::PowerMap;
 use xylem_thermal::solve::{DeadlineGuard, SolverWorkspace};
 use xylem_thermal::temperature::TemperatureField;
 
-use crate::chaos::{ChaosConfig, ChaosOutcome, CHAOS_PANIC_MARKER};
+use crate::chaos::{slice_key, ChaosConfig};
 use crate::error::{Rejection, ServeError};
 
 /// Number of throttle levels the serve-side DTM ladder distinguishes.
@@ -254,8 +255,8 @@ pub enum SliceOutcome {
         /// Display of the underlying error.
         error: String,
     },
-    /// The slice panicked (filled in by the scheduler's
-    /// `catch_unwind`); state unchanged.
+    /// The slice panicked (filled in by the scheduler from the panic
+    /// `fork_join` caught); state unchanged.
     Panicked {
         /// Downcast panic payload.
         message: String,
@@ -268,25 +269,26 @@ fn derate(level: u8) -> f64 {
 }
 
 /// Runs one slice. May panic (chaos injection or a genuine bug): the
-/// caller is required to wrap this in `catch_unwind`.
+/// caller must contain it, as the scheduler's `fork_join` does.
 pub fn run_slice(req: &SliceRequest) -> SliceOutcome {
     if let Some(chaos) = &req.chaos {
-        match chaos.decide(
+        let key = slice_key(
             req.spec.chaos_key(),
             u64::from(req.state.step),
             req.state.attempts,
-        ) {
-            ChaosOutcome::None => {}
-            ChaosOutcome::Panic => panic!(
+        );
+        match chaos.roll(key) {
+            Fault::None => {}
+            Fault::Panic => panic!(
                 "{CHAOS_PANIC_MARKER} (session {}, step {}, attempt {})",
                 req.spec.id, req.state.step, req.state.attempts
             ),
-            ChaosOutcome::Error => {
+            Fault::Error => {
                 return SliceOutcome::Failed {
                     error: "chaos: injected solver error".to_string(),
                 }
             }
-            ChaosOutcome::Deadline => return SliceOutcome::DeadlineMiss,
+            Fault::Deadline => return SliceOutcome::DeadlineMiss,
         }
     }
 

@@ -5,7 +5,7 @@
 //! `[envelope/2, envelope]` where `envelope = base · 2^(attempt-1)`
 //! capped at `max_ms`. The jitter is a counter-based splitmix64 hash of
 //! `(seed, task key, attempt)` — no RNG state exists, so replaying a
-//! task (e.g. after a journal resume) or re-sharding the pool reproduces
+//! task (e.g. after a journal resume) or re-sharding the workers reproduces
 //! the identical schedule at any thread count.
 
 use xylem_obs::hash::splitmix64;

@@ -573,6 +573,9 @@ fn sweep(opts: &HashMap<String, String>) -> Result<(), String> {
     }
     let spec = sweep_spec_of(opts)?;
     let sweep_opts = sweep_options_of(opts, spec.seed)?;
+    if sweep_opts.chaos.is_some() {
+        xylem::supervise::silence_expected_panics();
+    }
     let report = run_sweep(&spec, &sweep_opts).map_err(|e| e.to_string())?;
     println!(
         "sweep {}: {} tasks ({} grid), {} ok, {} quarantined, {} replayed from journal",

@@ -12,12 +12,13 @@
 //!    the worker's cached [`XylemSystem`] for that stack (it may hold
 //!    partially-updated state); exhausting every attempt quarantines
 //!    the task;
-//! 3. **worker** — one OS thread owning a shard of tasks (sharded by
+//! 3. **worker** — one shard of tasks (sharded by
 //!    [`TaskSpec::stack_key`], so every distinct stack is built exactly
-//!    once per sweep) plus a second `catch_unwind` net around the whole
-//!    shard;
+//!    once per sweep) per fork-join worker thread
+//!    ([`xylem::supervise::fork_join`]), which isolates the whole shard
+//!    in its own `catch_unwind` and is joined before the sweep goes on;
 //! 4. **sweep** — merges worker output with journal replay; tasks a
-//!    crashed worker never reached are synthesized as quarantined, so
+//!    crashed shard never reached are synthesized as quarantined, so
 //!    the final report accounts for *every* task either `ok` or
 //!    `quarantined` and [`run_sweep`] itself never panics.
 
@@ -25,13 +26,12 @@ use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use xylem::headroom::max_frequency_at_iso_temperature;
+use xylem::supervise::{fork_join, panic_message, ChaosConfig, Fault, CHAOS_PANIC_MARKER};
 use xylem::{SweepError, XylemError, XylemSystem};
-use xylem_obs::hash::splitmix64;
 use xylem_obs::metrics::{incr, record_ns, summarize, Counter, Hist, HistSummary};
 use xylem_thermal::units::Celsius;
 use xylem_thermal::{DeadlineGuard, ThermalError};
@@ -40,44 +40,9 @@ use crate::backoff::BackoffPolicy;
 use crate::journal::{Journal, JournalScan, TaskRecord, TaskResult, TaskStatus};
 use crate::spec::{SweepSpec, TaskSpec};
 
-/// Seeded fault injection for chaos testing the supervision ladder.
-/// Each knob is a per-mille probability, rolled per (task, attempt) with
-/// a counter-based hash — the campaign is reproducible from the seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ChaosConfig {
-    /// Seed for the fault rolls.
-    pub seed: u64,
-    /// Probability (0..=1000) of an injected panic per attempt.
-    pub panic_per_mille: u16,
-    /// Probability (0..=1000) of an injected solver-divergence error.
-    pub error_per_mille: u16,
-    /// Probability (0..=1000) of an injected deadline blowout.
-    pub deadline_per_mille: u16,
-}
-
-enum ChaosAction {
-    None,
-    Panic,
-    Error,
-    Deadline,
-}
-
-impl ChaosConfig {
-    fn decide(&self, task_key: u64, attempt: u32) -> ChaosAction {
-        let roll = splitmix64(self.seed ^ splitmix64(task_key ^ (u64::from(attempt) << 32))) % 1000;
-        let panic_to = u64::from(self.panic_per_mille);
-        let error_to = panic_to + u64::from(self.error_per_mille);
-        let deadline_to = error_to + u64::from(self.deadline_per_mille);
-        if roll < panic_to {
-            ChaosAction::Panic
-        } else if roll < error_to {
-            ChaosAction::Error
-        } else if roll < deadline_to {
-            ChaosAction::Deadline
-        } else {
-            ChaosAction::None
-        }
-    }
+/// The chaos roll key of one task attempt.
+fn chaos_key(task_key: u64, attempt: u32) -> u64 {
+    task_key ^ (u64::from(attempt) << 32)
 }
 
 /// Knobs for [`run_sweep`]. `Default` is a journal-less in-process sweep
@@ -207,16 +172,6 @@ fn effective_shards(requested: usize, pending: usize) -> usize {
     n.clamp(1, pending.max(1))
 }
 
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic with non-string payload".to_string()
-    }
-}
-
 /// Recovers a poisoned mutex: the protected values (record vectors,
 /// first-error slots) are written atomically from the holder's view, so
 /// the data is usable even if the holding thread died.
@@ -270,15 +225,15 @@ fn attempt_task(
     attempt: u32,
 ) -> Result<TaskResult, XylemError> {
     if let Some(chaos) = chaos {
-        match chaos.decide(task.key_hash(), attempt) {
-            ChaosAction::None => {}
-            ChaosAction::Panic => {
+        match chaos.roll(chaos_key(task.key_hash(), attempt)) {
+            Fault::None => {}
+            Fault::Panic => {
                 panic!(
-                    "chaos: injected panic (task {}, attempt {attempt})",
+                    "{CHAOS_PANIC_MARKER} (task {}, attempt {attempt})",
                     task.key()
                 )
             }
-            ChaosAction::Error => {
+            Fault::Error => {
                 return Err(ThermalError::NoConvergence {
                     iterations: 0,
                     residual: 1.0,
@@ -286,7 +241,7 @@ fn attempt_task(
                 }
                 .into());
             }
-            ChaosAction::Deadline => {
+            Fault::Deadline => {
                 // A real blowout would trip the in-CG deadline check;
                 // synthesizing the same error keeps chaos runs fast and
                 // exercises the identical recovery path.
@@ -306,7 +261,6 @@ struct WorkerCtx<'a> {
     journal: Option<&'a Journal>,
     results: &'a Mutex<Vec<TaskRecord>>,
     journal_error: &'a Mutex<Option<SweepError>>,
-    worker_crashed: &'a AtomicBool,
 }
 
 /// Processes one shard of tasks. Returns early (leaving tasks
@@ -467,31 +421,24 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepReport, X
 
     let results: Mutex<Vec<TaskRecord>> = Mutex::new(Vec::new());
     let journal_error: Mutex<Option<SweepError>> = Mutex::new(None);
-    let worker_crashed = AtomicBool::new(false);
-    std::thread::scope(|s| {
-        for shard in &shards {
-            if shard.is_empty() {
-                continue;
-            }
-            let ctx = WorkerCtx {
-                grid: spec.grid,
-                cache_dir: opts.cache_dir.as_deref(),
-                opts,
-                journal: journal.as_ref(),
-                results: &results,
-                journal_error: &journal_error,
-                worker_crashed: &worker_crashed,
-            };
-            s.spawn(move || {
-                // Second safety net: a panic escaping the per-attempt
-                // net (e.g. in journaling glue) must not propagate out
-                // of the scope and panic the orchestrator.
-                if catch_unwind(AssertUnwindSafe(|| run_worker(&ctx, shard))).is_err() {
-                    ctx.worker_crashed.store(true, Ordering::Relaxed);
-                }
-            });
-        }
-    });
+    let ctx = WorkerCtx {
+        grid: spec.grid,
+        cache_dir: opts.cache_dir.as_deref(),
+        opts,
+        journal: journal.as_ref(),
+        results: &results,
+        journal_error: &journal_error,
+    };
+    let live: Vec<&[TaskSpec]> = shards
+        .iter()
+        .filter(|shard| !shard.is_empty())
+        .map(Vec::as_slice)
+        .collect();
+    // A panic escaping the per-attempt net (e.g. in journaling glue)
+    // ends only its shard; records it pushed before stay.
+    let worker_crashed = fork_join(n_shards, live, |shard| run_worker(&ctx, shard))
+        .iter()
+        .any(Result::is_err);
 
     let mut fresh = results.into_inner().unwrap_or_else(|p| p.into_inner());
     if let Some(e) = lock_or_recover(&journal_error).take() {
@@ -506,7 +453,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepReport, X
     }
     for task in spec.tasks() {
         if !covered[task.id] {
-            if worker_crashed.load(Ordering::Relaxed) && xylem_obs::enabled() {
+            if worker_crashed && xylem_obs::enabled() {
                 xylem_obs::event("sweep_worker_crashed")
                     .u64("id", task.id as u64)
                     .str("key", &task.key())
@@ -594,23 +541,58 @@ mod tests {
         let (mut panics, mut errors, mut deadlines, mut nones) = (0, 0, 0, 0);
         for key in 0..200u64 {
             for attempt in 1..=3 {
-                match chaos.decide(key, attempt) {
-                    ChaosAction::Panic => panics += 1,
-                    ChaosAction::Error => errors += 1,
-                    ChaosAction::Deadline => deadlines += 1,
-                    ChaosAction::None => nones += 1,
+                let fault = chaos.roll(chaos_key(key, attempt));
+                match fault {
+                    Fault::Panic => panics += 1,
+                    Fault::Error => errors += 1,
+                    Fault::Deadline => deadlines += 1,
+                    Fault::None => nones += 1,
                 }
-                // Redeciding the same (key, attempt) gives the same roll.
-                assert!(matches!(
-                    (chaos.decide(key, attempt), chaos.decide(key, attempt)),
-                    (ChaosAction::Panic, ChaosAction::Panic)
-                        | (ChaosAction::Error, ChaosAction::Error)
-                        | (ChaosAction::Deadline, ChaosAction::Deadline)
-                        | (ChaosAction::None, ChaosAction::None)
-                ));
+                // Rerolling the same (key, attempt) gives the same fault.
+                assert_eq!(chaos.roll(chaos_key(key, attempt)), fault);
             }
         }
         assert!(panics > 0 && errors > 0 && deadlines > 0 && nones > 0);
+    }
+
+    /// Pins the fault class of every roll under both callers' key
+    /// schemes, sweep `(task, attempt)` and serve `(session, step,
+    /// attempt)`: 5 seeds x 300 keys x 3 attempts, one sweep and three
+    /// serve rolls each. The hash was taken from the two separate
+    /// pre-`supervise` roll implementations, so a chaos campaign of
+    /// either harness replays the faults it always did.
+    #[test]
+    fn chaos_rolls_are_pinned_across_both_key_schemes() {
+        let mut classes = Vec::new();
+        for seed in [0u64, 1, 5, 42, 0x5EED_CAFE] {
+            let chaos = ChaosConfig {
+                seed,
+                panic_per_mille: 150,
+                error_per_mille: 200,
+                deadline_per_mille: 250,
+            };
+            let class = |key| match chaos.roll(key) {
+                Fault::None => 0u8,
+                Fault::Panic => 1,
+                Fault::Error => 2,
+                Fault::Deadline => 3,
+            };
+            for key in 0..300u64 {
+                let k = xylem_obs::hash::splitmix64(key);
+                for attempt in 0..3u32 {
+                    classes.push(class(chaos_key(k, attempt)));
+                    for step in [0u64, 7, 1 << 20] {
+                        classes.push(class(xylem_serve::chaos::slice_key(k, step, attempt)));
+                    }
+                }
+            }
+        }
+        let mut counts = [0usize; 4];
+        for &c in &classes {
+            counts[usize::from(c)] += 1;
+        }
+        assert_eq!(counts, [7180, 2770, 3553, 4497]);
+        assert_eq!(xylem_obs::hash::fnv1a(&classes), 0x825e_204a_0e46_46e4);
     }
 
     #[test]
@@ -619,15 +601,5 @@ mod tests {
         assert_eq!(effective_shards(2, 100), 2);
         assert_eq!(effective_shards(1, 0), 1);
         assert!(effective_shards(0, 64) >= 1);
-    }
-
-    #[test]
-    fn panic_messages_extract_both_payload_kinds() {
-        let s: Box<dyn std::any::Any + Send> = Box::new("static str");
-        assert_eq!(panic_message(s.as_ref()), "panic: static str");
-        let s: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
-        assert_eq!(panic_message(s.as_ref()), "panic: owned");
-        let s: Box<dyn std::any::Any + Send> = Box::new(42u32);
-        assert_eq!(panic_message(s.as_ref()), "panic with non-string payload");
     }
 }

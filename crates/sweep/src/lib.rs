@@ -12,8 +12,10 @@
 //! * a declarative [`SweepSpec`] enumerates a deterministic task grid
 //!   over (scheme × geometry × die count × workload × DTM policy), with
 //!   optional seeded random subsampling;
-//! * tasks run on a sharded worker pool ([`run_sweep`]) with per-task
-//!   `catch_unwind` panic isolation, stack-affinity sharding (each
+//! * tasks run in shards on fork-join worker threads ([`run_sweep`],
+//!   [`xylem::supervise::fork_join`]: joined before the sweep returns)
+//!   with per-task `catch_unwind` panic isolation, stack-affinity
+//!   sharding (each
 //!   distinct stack is built once, and shared sub-solves dedupe through
 //!   the response cache), and wall-clock deadlines threaded into the CG
 //!   loop via [`xylem_thermal::DeadlineGuard`];
@@ -38,9 +40,10 @@ pub mod scenario_sweep;
 pub mod spec;
 
 pub use backoff::BackoffPolicy;
-pub use engine::{run_sweep, ChaosConfig, SweepOptions, SweepReport};
+pub use engine::{run_sweep, SweepOptions, SweepReport};
 pub use journal::{Journal, JournalScan, TaskRecord, TaskResult, TaskStatus};
 pub use scenario_sweep::{
     run_scenario_sweep, ScenarioPointRecord, ScenarioSweepReport, ScenarioSweepSpec,
 };
 pub use spec::{SweepSpec, TaskSpec};
+pub use xylem::supervise::ChaosConfig;

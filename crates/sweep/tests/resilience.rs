@@ -148,20 +148,7 @@ fn killed_sweep_resumes_to_full_completion_without_duplicates() {
 fn chaos_campaign_never_panics_and_resumes_bit_identically() {
     // Keep the injected worker panics from spraying backtraces into the
     // test output; everything else still prints.
-    static HOOK: std::sync::Once = std::sync::Once::new();
-    HOOK.call_once(|| {
-        std::panic::set_hook(Box::new(|info| {
-            let payload = info.payload();
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("");
-            if !msg.contains("chaos: injected panic") {
-                eprintln!("{info}");
-            }
-        }));
-    });
+    xylem::supervise::silence_expected_panics();
 
     warm_cache();
     let journal =
