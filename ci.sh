@@ -168,8 +168,10 @@ cargo clippy --workspace --lib --bins -- -D warnings
 # perfbench/ is a package of its own outside the workspace, so the
 # workspace build never compiles it; it still calls the library crates'
 # public API, and this step catches an API change that breaks it.
+# `--locked` fails on a stale perfbench/Cargo.lock instead of letting
+# cargo rewrite it (a changed crate dependency edge stales it).
 echo "==> perfbench build (compile-only)"
-cargo build --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 
 # Neither `cargo test` nor the steps above build a `[[bench]]` target,
 # so a library change could break one unseen until `./ci.sh bench`.

@@ -144,13 +144,18 @@ fn envelope_bytes(payload: &str) -> Vec<u8> {
 }
 
 /// Finishes the encode timed by `encode` (wrapping `payload` in the
-/// envelope) and writes the file via [`write_atomic`], timing the write
-/// separately.
-fn write_envelope(path: &Path, payload: &str, encode: Span) -> Result<(), CheckpointError> {
+/// envelope) and writes the file via [`write_atomic`] (fsynced when
+/// `sync`), timing the write separately.
+fn write_envelope(
+    path: &Path,
+    payload: &str,
+    encode: Span,
+    sync: bool,
+) -> Result<(), CheckpointError> {
     let bytes = envelope_bytes(payload);
     drop(encode);
     let _write = span("checkpoint_write", Some(Hist::CheckpointWriteMs));
-    write_atomic(path, &bytes).map_err(|e| io_err(path, e))
+    write_atomic(path, &bytes, sync).map_err(|e| io_err(path, e))
 }
 
 /// Writes `payload` to `path` wrapped in the checkpoint envelope
@@ -163,10 +168,11 @@ fn write_envelope(path: &Path, payload: &str, encode: Span) -> Result<(), Checkp
 /// [`CheckpointError::Io`] on filesystem failures.
 pub fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
     let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
-    write_envelope(path, payload, encode)
+    write_envelope(path, payload, encode, true)
 }
 
-/// Serializes `state` to JSON and writes it like [`save_payload`]. The
+/// Serializes `state` to JSON and writes it like [`save_payload`],
+/// skipping the fsyncs when `sync` is false (see [`write_atomic`]). The
 /// `checkpoint_encode_ms` histogram gets the whole text encode (state,
 /// checksum, envelope), `checkpoint_write_ms` the atomic write.
 ///
@@ -174,12 +180,16 @@ pub fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
 ///
 /// [`CheckpointError::Io`] on filesystem failures;
 /// [`CheckpointError::Corrupt`] if the state cannot be serialized.
-pub fn save_state<T: Serialize + ?Sized>(path: &Path, state: &T) -> Result<(), CheckpointError> {
+pub fn save_state<T: Serialize + ?Sized>(
+    path: &Path,
+    state: &T,
+    sync: bool,
+) -> Result<(), CheckpointError> {
     let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
     let payload = serde_json::to_string(state).map_err(|e| CheckpointError::Corrupt {
         reason: format!("payload serialization failed: {e}"),
     })?;
-    write_envelope(path, &payload, encode)
+    write_envelope(path, &payload, encode, sync)
 }
 
 /// Reads and validates an envelope written by [`save_payload`] (magic,
@@ -233,7 +243,7 @@ pub fn save(path: &Path, ckpt: &DtmCheckpoint) -> Result<(), CheckpointError> {
             reason: format!("refusing to write non-finite temperature at node {node}"),
         });
     }
-    save_state(path, ckpt)
+    save_state(path, ckpt, true)
 }
 
 /// Loads and validates a checkpoint file (magic, version, checksum,

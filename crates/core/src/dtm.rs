@@ -15,6 +15,13 @@
 //! ladder (the per-field [`RecoveryReport`]s are aggregated into
 //! [`DtmResult::recovery`]), and periodically checkpoints its full state
 //! so a killed run resumes bit-identically (see [`crate::checkpoint`]).
+//!
+//! There is one controller loop. It reads each period's power map from a
+//! schedule indexed by phase and DVFS level: a plain run is a one-phase
+//! schedule of [`dvfs_power_maps`], and [`dtm_transient_phased`] runs
+//! the same loop on a per-phase schedule, so phased runs record the
+//! same obs counters and `dtm_step` events. Every map comes from
+//! [`XylemSystem::power_map`] with leakage at a 95 C estimate.
 
 use std::path::PathBuf;
 
@@ -25,7 +32,7 @@ use xylem_thermal::grid::GridSpec;
 use xylem_thermal::model::ThermalModel;
 use xylem_thermal::power::PowerMap;
 use xylem_thermal::temperature::TemperatureField;
-use xylem_thermal::units::{Celsius, Watts};
+use xylem_thermal::units::Celsius;
 use xylem_thermal::{
     AdaptiveController, AdaptiveOptions, AdaptiveSummary, DeadlineGuard, RecoveryReport,
     SolverOptions, SolverWorkspace,
@@ -34,6 +41,7 @@ use xylem_workloads::Benchmark;
 
 use crate::checkpoint::{self, DtmCheckpoint};
 use crate::error::{CheckpointError, ConfigError};
+use crate::placement::ThreadPlacement;
 use crate::sensor::{SensorArray, SensorFault, SensorModel};
 use crate::system::XylemSystem;
 use crate::Result;
@@ -41,10 +49,6 @@ use crate::Result;
 /// Leakage-temperature estimate used when precomputing per-DVFS-point
 /// power maps: the die is assumed near its thermal limit.
 const LEAKAGE_TEMP_ESTIMATE: Celsius = Celsius::new(95.0);
-
-/// DRAM temperature estimate for the refresh/leakage terms of the DRAM
-/// energy model (the paper's T_dram,max operating corner).
-const DRAM_TEMP_ESTIMATE_C: f64 = 85.0;
 
 /// Transient stepping mode of the DTM control loop.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -426,6 +430,88 @@ pub fn dtm_transient_configured(
     run: &DtmRunConfig,
     grid: GridSpec,
 ) -> Result<DtmResult> {
+    run_controller(
+        system,
+        DtmWorkload::Steady(benchmark),
+        requested_f_ghz,
+        duration_s,
+        run,
+        grid,
+    )
+}
+
+/// Runs a **phased** workload (warm-up / main / tail, see
+/// [`xylem_workloads::PhasedWorkload`]) under the DTM controller: each
+/// phase contributes its instruction-weighted share of `duration_s` with
+/// its own power map, so the controller sees a thermal step when the hot
+/// main phase begins — the scenario where reactive throttling actually
+/// engages on a real machine. The run is [`dtm_transient_configured`]'s
+/// loop under a plain [`DtmRunConfig`], on a per-phase power schedule.
+///
+/// # Errors
+///
+/// [`crate::XylemError::Config`] for a degenerate duration or policy;
+/// otherwise propagates model errors.
+pub fn dtm_transient_phased(
+    system: &XylemSystem,
+    workload: &xylem_workloads::PhasedWorkload,
+    requested_f_ghz: f64,
+    duration_s: f64,
+    policy: &DtmPolicy,
+    grid: GridSpec,
+) -> Result<DtmResult> {
+    run_controller(
+        system,
+        DtmWorkload::Phased(workload),
+        requested_f_ghz,
+        duration_s,
+        &DtmRunConfig::new(*policy),
+        grid,
+    )
+}
+
+/// What the controller runs: one benchmark profile for the whole run, or
+/// a phase schedule.
+enum DtmWorkload<'a> {
+    Steady(Benchmark),
+    Phased(&'a xylem_workloads::PhasedWorkload),
+}
+
+/// The power input of a controller run: one map per (phase, DVFS level).
+struct PowerSchedule {
+    /// Admitted DVFS points, GHz, ascending; `maps[phase][level]` runs
+    /// at `points[level]`.
+    points: Vec<f64>,
+    maps: Vec<Vec<PowerMap>>,
+    /// Phase `p` is in force up to `phase_ends_s[p]`; past the last
+    /// listed end (or with none listed) the last phase holds.
+    phase_ends_s: Vec<f64>,
+}
+
+impl PowerSchedule {
+    /// The map in force at simulation time `t_s` at DVFS `level`.
+    fn map(&self, t_s: f64, level: usize) -> &PowerMap {
+        let phase = self
+            .phase_ends_s
+            .iter()
+            .position(|&end| t_s <= end + 1e-12)
+            .unwrap_or(self.maps.len() - 1);
+        &self.maps[phase][level]
+    }
+}
+
+/// The one DTM controller loop behind [`dtm_transient_configured`] and
+/// [`dtm_transient_phased`]: validates the run, builds the power
+/// schedule of `workload`, then steps, senses, decides and checkpoints
+/// once per control period.
+fn run_controller(
+    system: &XylemSystem,
+    workload: DtmWorkload<'_>,
+    requested_f_ghz: f64,
+    duration_s: f64,
+    run: &DtmRunConfig,
+    grid: GridSpec,
+) -> Result<DtmResult> {
     run.policy.validate()?;
     if !(duration_s.is_finite() && duration_s > 0.0) {
         return Err(ConfigError::new(
@@ -444,13 +530,28 @@ pub fn dtm_transient_configured(
         model.set_solver_options(opts);
     }
     let pm_layer = built.proc_metal_layer();
-    let (points, maps) = dvfs_power_maps(system, benchmark, requested_f_ghz, &model)?;
+    let (label, schedule) = match workload {
+        DtmWorkload::Steady(benchmark) => {
+            let (points, maps) = dvfs_power_maps(system, benchmark, requested_f_ghz, &model)?;
+            let schedule = PowerSchedule {
+                points,
+                maps: vec![maps],
+                phase_ends_s: Vec::new(),
+            };
+            (format!("{benchmark:?}"), schedule)
+        }
+        DtmWorkload::Phased(w) => (
+            format!("{w:?}"),
+            phased_schedule(system, w, requested_f_ghz, duration_s, &model)?,
+        ),
+    };
+    let points = &schedule.points;
 
     let dt = run.policy.control_period_s;
     let steps = (duration_s / dt).round() as usize;
     let opts = model.solver_options();
     let fingerprint = RunFingerprint {
-        benchmark: format!("{benchmark:?}"),
+        benchmark: label,
         requested_f_ghz,
         duration_s,
         policy: run.policy,
@@ -467,7 +568,7 @@ pub fn dtm_transient_configured(
     );
 
     let mut field = TemperatureField::uniform(&model, model.ambient());
-    let mut level = maps.len() - 1; // start at the requested point
+    let mut level = points.len() - 1; // start at the requested point
     let mut start_step = 0usize;
     let mut samples: Vec<DtmSample> = Vec::with_capacity(steps);
     let mut throttle_events = 0usize;
@@ -504,12 +605,12 @@ pub fn dtm_transient_configured(
                 .into());
             }
             c.validate_against(grid.nx(), grid.ny(), dt, &cfg_hash)?;
-            if c.level >= maps.len() || c.step > steps {
+            if c.level >= points.len() || c.step > steps {
                 return Err(CheckpointError::Corrupt {
                     reason: format!(
                         "state out of range: level {} of {}, step {} of {steps}",
                         c.level,
-                        maps.len(),
+                        points.len(),
                         c.step
                     ),
                 }
@@ -548,9 +649,10 @@ pub fn dtm_transient_configured(
         let f_step = points[level];
         // Each step seeds CG with the previous field (warm start) and
         // reuses the workspace + cached backward-Euler operators.
+        let map = schedule.map((k + 1) as f64 * dt, level);
         field = match adaptive.as_mut() {
-            Some(ctrl) => model.transient_adaptive(&maps[level], &field, dt, ctrl, &mut ws)?,
-            None => model.transient_with(&maps[level], &field, dt, 1, None, &mut ws)?,
+            Some(ctrl) => model.transient_adaptive(map, &field, dt, ctrl, &mut ws)?,
+            None => model.transient_with(map, &field, dt, 1, None, &mut ws)?,
         };
         let step_iters = field.stats().iterations;
         cg_iterations += step_iters;
@@ -600,7 +702,7 @@ pub fn dtm_transient_configured(
                     } else {
                         "hold"
                     }
-                } else if hot < run.policy.release && level + 1 < maps.len() {
+                } else if hot < run.policy.release && level + 1 < points.len() {
                     level += 1;
                     xylem_obs::incr(xylem_obs::Counter::BoostEvents);
                     "boost"
@@ -680,10 +782,29 @@ pub fn dtm_transient_configured(
     })
 }
 
+/// The DVFS points at or below `requested_f_ghz`, ascending.
+fn dvfs_points(system: &XylemSystem, requested_f_ghz: f64) -> Result<Vec<f64>> {
+    let points: Vec<f64> = system
+        .power_model()
+        .dvfs()
+        .points()
+        .map(|p| p.frequency_ghz)
+        .filter(|&f| f <= requested_f_ghz + 1e-9)
+        .collect();
+    if points.is_empty() {
+        return Err(ConfigError::new(
+            "requested_f_ghz",
+            format!("requested frequency {requested_f_ghz} GHz is below the whole DVFS range"),
+        )
+        .into());
+    }
+    Ok(points)
+}
+
 /// Precomputes one power map per DVFS point at or below
 /// `requested_f_ghz` for `benchmark` running 8 threads on `model`.
 /// Returns the admitted frequencies (ascending, matching the DVFS table
-/// order) and their maps. Shared by the DTM transient loops, the direct
+/// order) and their maps. Shared by the DTM controller, the direct
 /// headroom search, and the solver benchmarks.
 ///
 /// # Errors
@@ -696,215 +817,82 @@ pub fn dvfs_power_maps(
     requested_f_ghz: f64,
     model: &ThermalModel,
 ) -> Result<(Vec<f64>, Vec<PowerMap>)> {
-    let built = system.built();
-    let pm_layer = built.proc_metal_layer();
-    let dvfs = system.power_model().dvfs().clone();
-    let points: Vec<f64> = dvfs
-        .points()
-        .map(|p| p.frequency_ghz)
-        .filter(|&f| f <= requested_f_ghz + 1e-9)
-        .collect();
-    if points.is_empty() {
-        return Err(ConfigError::new(
-            "requested_f_ghz",
-            format!("requested frequency {requested_f_ghz} GHz is below the whole DVFS range"),
-        )
-        .into());
-    }
+    let points = dvfs_points(system, requested_f_ghz)?;
+    let all_cores = ThreadPlacement::all_eight();
     let mut maps = Vec::with_capacity(points.len());
     for &f in &points {
         let metrics = system.machine().run(benchmark, f, 8);
-        let point = dvfs.point_at(f);
-        let cores = vec![
-            CoreActivity {
-                activity: metrics.activity,
-                memory_intensity: metrics.memory_intensity,
-                point,
-            };
-            8
-        ];
-        let uncore = UncoreActivity {
-            llc: metrics.llc_activity,
-            mc: metrics.mc_utilization,
-            noc: metrics.noc_activity,
-            point,
-        };
-        let blocks = system
-            .power_model()
-            .block_powers(&cores, &uncore, LEAKAGE_TEMP_ESTIMATE);
-        let mut map = PowerMap::zeros(model);
-        for (name, w) in &blocks {
-            map.add_block_power(model, pm_layer, name, *w)?;
-        }
-        let n_dies = built.dram_metal_layers().len();
-        let die_w = xylem_dram::DramEnergyModel::paper_default().die_power(
-            metrics.dram_read_rate,
-            metrics.dram_write_rate,
-            metrics.dram_activate_rate,
-            DRAM_TEMP_ESTIMATE_C,
-            n_dies,
-        );
-        for &l in built.dram_metal_layers() {
-            map.add_uniform_layer_power(l, Watts::new(die_w));
-        }
-        maps.push(map);
+        maps.push(system.metrics_power_map(
+            model,
+            &metrics,
+            all_cores.cores(),
+            1.0,
+            LEAKAGE_TEMP_ESTIMATE,
+        )?);
     }
     Ok((points, maps))
 }
 
-/// Runs a **phased** workload (warm-up / main / tail, see
-/// [`xylem_workloads::PhasedWorkload`]) under the DTM controller: each
-/// phase contributes its instruction-weighted share of `duration_s` with
-/// its own power map, so the controller sees a thermal step when the hot
-/// main phase begins — the scenario where reactive throttling actually
-/// engages on a real machine.
-///
-/// # Errors
-///
-/// [`crate::XylemError::Config`] for a degenerate duration or policy;
-/// otherwise propagates model errors.
-pub fn dtm_transient_phased(
+/// The power schedule of a phased run: per phase, one map per admitted
+/// DVFS point built from the phase's profile through the interval CPI
+/// model; phases end at their instruction-weighted share of
+/// `duration_s`.
+fn phased_schedule(
     system: &XylemSystem,
     workload: &xylem_workloads::PhasedWorkload,
     requested_f_ghz: f64,
     duration_s: f64,
-    policy: &DtmPolicy,
-    grid: GridSpec,
-) -> Result<DtmResult> {
-    policy.validate()?;
-    if !(duration_s.is_finite() && duration_s > 0.0) {
-        return Err(ConfigError::new(
-            "duration_s",
-            format!("duration {duration_s} s must be positive and finite"),
-        )
-        .into());
-    }
-    let built = system.built();
-    let model = built.stack().discretize(grid)?;
-    let pm_layer = built.proc_metal_layer();
-    let dvfs = system.power_model().dvfs().clone();
-    let points: Vec<f64> = dvfs
-        .points()
-        .map(|p| p.frequency_ghz)
-        .filter(|&f| f <= requested_f_ghz + 1e-9)
-        .collect();
-    if points.is_empty() {
-        return Err(ConfigError::new(
-            "requested_f_ghz",
-            format!("requested frequency {requested_f_ghz} GHz is below the whole DVFS range"),
-        )
-        .into());
-    }
-
-    // Power maps per (phase, DVFS point), built from the phase profiles.
-    let mut phase_maps: Vec<Vec<PowerMap>> = Vec::new();
-    for (pi, _) in workload.phases().iter().enumerate() {
+    model: &ThermalModel,
+) -> Result<PowerSchedule> {
+    let points = dvfs_points(system, requested_f_ghz)?;
+    let dvfs = system.power_model().dvfs();
+    let mut maps = Vec::with_capacity(workload.phases().len());
+    for pi in 0..workload.phases().len() {
         let profile = workload.phase_profile(pi);
-        let mut maps = Vec::with_capacity(points.len());
+        let mut phase_maps = Vec::with_capacity(points.len());
         for &f in &points {
             let lat = system.machine().dram_latency_under_load(&profile, f, 8);
             let cpi =
                 xylem_archsim::interval::cpi_breakdown(system.machine().arch(), &profile, f, lat);
-            let activity = profile.activity_peak * (cpi.core() / cpi.total());
             let point = dvfs.point_at(f);
-            let cores = vec![
-                CoreActivity {
-                    activity,
-                    memory_intensity: profile.memory_intensity,
-                    point,
-                };
-                8
-            ];
+            let cores = [CoreActivity {
+                activity: profile.activity_peak * (cpi.core() / cpi.total()),
+                memory_intensity: profile.memory_intensity,
+                point,
+            }; 8];
             let uncore = UncoreActivity {
                 llc: (profile.l1d_mpki / 25.0).min(1.0),
                 mc: [(profile.dram_apki() / 8.0).min(1.0); 4],
                 noc: (profile.l2_mpki / 10.0).min(1.0),
                 point,
             };
-            let blocks = system
-                .power_model()
-                .block_powers(&cores, &uncore, LEAKAGE_TEMP_ESTIMATE);
-            let mut map = PowerMap::zeros(&model);
-            for (name, w) in &blocks {
-                map.add_block_power(&model, pm_layer, name, *w)?;
-            }
-            let n_dies = built.dram_metal_layers().len();
             let instr_rate = f * 1e9 / cpi.total() * 8.0;
             let acc = instr_rate * profile.dram_apki() / 1000.0;
-            let die_w = xylem_dram::DramEnergyModel::paper_default().die_power(
+            let dram_rates = [
                 acc * profile.read_fraction,
                 acc * (1.0 - profile.read_fraction),
                 acc * (1.0 - profile.row_hit_fraction),
-                DRAM_TEMP_ESTIMATE_C,
-                n_dies,
-            );
-            for &l in built.dram_metal_layers() {
-                map.add_uniform_layer_power(l, Watts::new(die_w));
-            }
-            maps.push(map);
+            ];
+            phase_maps.push(system.power_map(
+                model,
+                &cores,
+                &uncore,
+                dram_rates,
+                LEAKAGE_TEMP_ESTIMATE,
+            )?);
         }
-        phase_maps.push(maps);
+        maps.push(phase_maps);
     }
-
-    // Phase boundaries by instruction weight over the wall-clock run.
-    let mut boundaries = Vec::new();
+    let mut phase_ends_s = Vec::with_capacity(maps.len());
     let mut acc = 0.0;
     for ph in workload.phases() {
         acc += ph.weight;
-        boundaries.push(acc * duration_s);
+        phase_ends_s.push(acc * duration_s);
     }
-
-    let mut level = points.len() - 1;
-    let mut field = TemperatureField::uniform(&model, model.ambient());
-    let steps = (duration_s / policy.control_period_s).round() as usize;
-    let mut samples = Vec::with_capacity(steps);
-    let mut throttle_events = 0usize;
-    let mut above = 0usize;
-    let mut ws = SolverWorkspace::new();
-    let mut cg_iterations = 0usize;
-    let mut recovery = RecoveryReport::default();
-    for k in 0..steps {
-        let t = (k + 1) as f64 * policy.control_period_s;
-        let phase = boundaries
-            .iter()
-            .position(|&b| t <= b + 1e-12)
-            .unwrap_or(workload.phases().len() - 1);
-        field = model.transient_with(
-            &phase_maps[phase][level],
-            &field,
-            policy.control_period_s,
-            1,
-            None,
-            &mut ws,
-        )?;
-        cg_iterations += field.stats().iterations;
-        recovery.merge(field.recovery());
-        let hot = field.max_of_layer(pm_layer);
-        samples.push(DtmSample {
-            time_s: t,
-            f_ghz: points[level],
-            hotspot: hot,
-        });
-        if hot > policy.trip {
-            above += 1;
-            if level > 0 {
-                level -= 1;
-                throttle_events += 1;
-            }
-        } else if hot < policy.release && level + 1 < points.len() {
-            level += 1;
-        }
-    }
-
-    Ok(DtmResult {
-        final_f_ghz: points[level],
-        throttle_events,
-        time_above_trip: above as f64 / steps.max(1) as f64,
-        samples,
-        cg_iterations,
-        failsafe_events: 0,
-        recovery,
-        adaptive: None,
+    Ok(PowerSchedule {
+        points,
+        maps,
+        phase_ends_s,
     })
 }
 

@@ -18,19 +18,27 @@ use std::path::{Path, PathBuf};
 /// Replaces `path` with `bytes`: temp sibling (extension `tmp`), fsync,
 /// rename, parent-directory fsync. A reader sees the old content or the
 /// new, and once this returns a power loss cannot un-link the new file.
+/// With `sync` false both fsyncs are skipped: the rename is still
+/// atomic and a killed process still finds the new file (the page cache
+/// outlives it), but a power loss may lose it.
 ///
 /// # Errors
 ///
 /// Any filesystem failure; the previous content is then intact.
-pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+pub fn write_atomic(path: &Path, bytes: &[u8], sync: bool) -> io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
-        f.sync_all()?;
+        if sync {
+            f.sync_all()?;
+        }
     }
     std::fs::rename(&tmp, path)?;
-    fsync_parent(path)
+    if sync {
+        fsync_parent(path)?;
+    }
+    Ok(())
 }
 
 /// Fsyncs the directory containing `path`, making a new or renamed
@@ -215,11 +223,15 @@ mod tests {
     #[test]
     fn write_atomic_replaces_and_leaves_no_temp() {
         let path = tmp("atomic.txt");
-        write_atomic(&path, b"first").expect("write");
-        write_atomic(&path, b"second").expect("overwrite");
+        write_atomic(&path, b"first", true).expect("write");
+        write_atomic(&path, b"second", true).expect("overwrite");
         assert_eq!(std::fs::read(&path).expect("read"), b"second");
         assert!(!path.with_extension("tmp").exists());
+        // Unsynced, the replace is just as atomic for readers.
+        write_atomic(&path, b"third", false).expect("unsynced overwrite");
+        assert_eq!(std::fs::read(&path).expect("read"), b"third");
+        assert!(!path.with_extension("tmp").exists());
         let bad = tmp("no-such-dir").join("x.txt");
-        assert!(write_atomic(&bad, b"x").is_err());
+        assert!(write_atomic(&bad, b"x", true).is_err());
     }
 }

@@ -6,15 +6,19 @@
 //! migration schedule and reports the processor hotspot statistics; the
 //! inner ring keeps the die cooler on aligned-and-shorted schemes because
 //! every landing spot sits near high-conductivity pillars.
+//!
+//! Both experiments build their per-position power maps through
+//! [`XylemSystem::metrics_power_map`], with leakage at a fixed 90 C
+//! estimate, and reject a malformed ring or schedule with a
+//! [`crate::XylemError::Config`] instead of panicking.
 
 use serde::{Deserialize, Serialize};
 
-use xylem_power::{CoreActivity, UncoreActivity};
 use xylem_thermal::grid::GridSpec;
-use xylem_thermal::power::PowerMap;
-use xylem_thermal::units::{Celsius, Watts};
+use xylem_thermal::units::Celsius;
 use xylem_workloads::Benchmark;
 
+use crate::error::ConfigError;
 use crate::placement::ThreadPlacement;
 use crate::system::XylemSystem;
 use crate::Result;
@@ -22,10 +26,6 @@ use crate::Result;
 /// Fixed leakage-temperature estimate for the iso-frequency migration
 /// comparisons (the error cancels between rings).
 const LEAKAGE_TEMP_ESTIMATE: Celsius = Celsius::new(90.0);
-
-/// DRAM temperature estimate for the refresh/leakage terms of the DRAM
-/// energy model.
-const DRAM_TEMP_ESTIMATE_C: f64 = 85.0;
 
 /// Parameters of a migration experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -69,74 +69,68 @@ pub struct MigrationResult {
     pub migrations: usize,
 }
 
+/// Rejects a ring that is not exactly 4 cores.
+fn check_ring(ring: &ThreadPlacement) -> Result<()> {
+    if ring.len() != 4 {
+        return Err(ConfigError::new(
+            "ring",
+            format!("migration ring must have 4 cores, got {}", ring.len()),
+        )
+        .into());
+    }
+    Ok(())
+}
+
 /// Runs the migration experiment for `benchmark` around `ring` (4 cores).
 ///
 /// # Errors
 ///
-/// Propagates model errors.
-///
-/// # Panics
-///
-/// Panics if `ring` does not contain exactly 4 cores or the config is
-/// degenerate.
+/// [`crate::XylemError::Config`] if `ring` does not hold exactly 4 cores,
+/// the period or step is not positive and finite, or fewer than 2
+/// rotations are asked for; otherwise propagates model errors.
 pub fn migration_experiment(
     system: &XylemSystem,
     benchmark: Benchmark,
     ring: &ThreadPlacement,
     cfg: &MigrationConfig,
 ) -> Result<MigrationResult> {
-    assert_eq!(ring.len(), 4, "migration ring must have 4 cores");
-    assert!(cfg.period_s > 0.0 && cfg.dt_s > 0.0 && cfg.rotations >= 2);
+    check_ring(ring)?;
+    for (what, v) in [("period_s", cfg.period_s), ("dt_s", cfg.dt_s)] {
+        if !(v.is_finite() && v > 0.0) {
+            return Err(
+                ConfigError::new(what, format!("{v} s must be positive and finite")).into(),
+            );
+        }
+    }
+    if cfg.rotations < 2 {
+        return Err(ConfigError::new(
+            "rotations",
+            format!(
+                "{} rotations leave nothing to measure after the warm-up one",
+                cfg.rotations
+            ),
+        )
+        .into());
+    }
     let steps_per_period = (cfg.period_s / cfg.dt_s).round().max(1.0) as usize;
 
     let built = system.built();
     let model = built.stack().discretize(cfg.grid)?;
     let pm_layer = built.proc_metal_layer();
 
-    // Two threads at the ring's opposite positions; performance inputs.
+    // Two threads at the ring's opposite positions, one map per ring
+    // phase; a quarter of the uncore demand.
     let metrics = system.machine().run(benchmark, cfg.f_ghz, 2);
-    let dvfs = system.power_model().dvfs().clone();
-    let point = dvfs.point_at(cfg.f_ghz);
-
-    // Power maps for the 4 ring phases (leakage at a fixed 90 C estimate:
-    // the comparison is iso-frequency, so the error cancels).
     let mut phase_maps = Vec::with_capacity(4);
     for phase in 0..4 {
         let active = [ring.cores()[phase], ring.cores()[(phase + 2) % 4]];
-        let mut cores = vec![CoreActivity::idle(point); 8];
-        for &c in &active {
-            cores[c - 1] = CoreActivity {
-                activity: metrics.activity,
-                memory_intensity: metrics.memory_intensity,
-                point,
-            };
-        }
-        let uncore = UncoreActivity {
-            llc: metrics.llc_activity * 0.25,
-            mc: metrics.mc_utilization.map(|u| u * 0.25),
-            noc: metrics.noc_activity * 0.25,
-            point,
-        };
-        let blocks = system
-            .power_model()
-            .block_powers(&cores, &uncore, LEAKAGE_TEMP_ESTIMATE);
-        let mut map = PowerMap::zeros(&model);
-        for (name, w) in &blocks {
-            map.add_block_power(&model, pm_layer, name, *w)?;
-        }
-        // DRAM background+refresh+the two threads' traffic.
-        let n_dies = built.dram_metal_layers().len();
-        let die_w = xylem_dram::DramEnergyModel::paper_default().die_power(
-            metrics.dram_read_rate,
-            metrics.dram_write_rate,
-            metrics.dram_activate_rate,
-            DRAM_TEMP_ESTIMATE_C,
-            n_dies,
-        );
-        for &l in built.dram_metal_layers() {
-            map.add_uniform_layer_power(l, Watts::new(die_w));
-        }
-        phase_maps.push(map);
+        phase_maps.push(system.metrics_power_map(
+            &model,
+            &metrics,
+            &active,
+            0.25,
+            LEAKAGE_TEMP_ESTIMATE,
+        )?);
     }
 
     // Warm start: steady state of phase 0.
@@ -179,8 +173,6 @@ pub struct ThresholdMigrationResult {
     pub duration_s: f64,
     /// Peak hotspot, deg C.
     pub max_hotspot_c: f64,
-    /// Whether the run completed within the step budget.
-    pub completed: bool,
 }
 
 /// Threshold-triggered migration (the paper's Sec. 5.2.3 claim: "we will
@@ -194,11 +186,8 @@ pub struct ThresholdMigrationResult {
 ///
 /// # Errors
 ///
-/// Propagates model errors.
-///
-/// # Panics
-///
-/// Panics if `ring` does not contain exactly 4 cores.
+/// [`crate::XylemError::Config`] if `ring` does not hold exactly 4 cores;
+/// otherwise propagates model errors.
 pub fn threshold_migration_experiment(
     system: &XylemSystem,
     benchmark: Benchmark,
@@ -208,48 +197,23 @@ pub fn threshold_migration_experiment(
     duration_s: f64,
     grid: GridSpec,
 ) -> Result<ThresholdMigrationResult> {
-    assert_eq!(ring.len(), 4, "migration ring must have 4 cores");
+    check_ring(ring)?;
     let built = system.built();
     let model = built.stack().discretize(grid)?;
     let pm_layer = built.proc_metal_layer();
     let metrics = system.machine().run(benchmark, f_ghz, 1);
-    let dvfs = system.power_model().dvfs().clone();
-    let point = dvfs.point_at(f_ghz);
 
-    // One power map per ring position (single active thread).
+    // One power map per ring position (single active thread, an eighth
+    // of the uncore demand).
     let mut maps = Vec::with_capacity(4);
     for &active in ring.cores() {
-        let mut cores = vec![CoreActivity::idle(point); 8];
-        cores[active - 1] = CoreActivity {
-            activity: metrics.activity,
-            memory_intensity: metrics.memory_intensity,
-            point,
-        };
-        let uncore = UncoreActivity {
-            llc: metrics.llc_activity * 0.125,
-            mc: metrics.mc_utilization.map(|u| u * 0.125),
-            noc: metrics.noc_activity * 0.125,
-            point,
-        };
-        let blocks = system
-            .power_model()
-            .block_powers(&cores, &uncore, LEAKAGE_TEMP_ESTIMATE);
-        let mut map = PowerMap::zeros(&model);
-        for (name, w) in &blocks {
-            map.add_block_power(&model, pm_layer, name, *w)?;
-        }
-        let n_dies = built.dram_metal_layers().len();
-        let die_w = xylem_dram::DramEnergyModel::paper_default().die_power(
-            metrics.dram_read_rate,
-            metrics.dram_write_rate,
-            metrics.dram_activate_rate,
-            DRAM_TEMP_ESTIMATE_C,
-            n_dies,
-        );
-        for &l in built.dram_metal_layers() {
-            map.add_uniform_layer_power(l, Watts::new(die_w));
-        }
-        maps.push(map);
+        maps.push(system.metrics_power_map(
+            &model,
+            &metrics,
+            &[active],
+            0.125,
+            LEAKAGE_TEMP_ESTIMATE,
+        )?);
     }
 
     let dt = 2e-3;
@@ -274,8 +238,7 @@ pub fn threshold_migration_experiment(
         })
         .collect();
 
-    let mut completed = true;
-    for step in 0..max_steps {
+    for _ in 0..max_steps {
         field = model.transient(&maps[pos], &field, dt, 1)?;
         let slice = field.layer_slice(pm_layer);
         let active_hot = core_cells[pos]
@@ -284,20 +247,13 @@ pub fn threshold_migration_experiment(
             .fold(f64::NEG_INFINITY, f64::max);
         max_hot = max_hot.max(field.max_of_layer(pm_layer).get());
         if active_hot >= trip.get() {
-            // Hop to the coolest other ring core.
-            let next = (0..4)
+            // Hop to the coolest other ring core (the first on a tie).
+            let heat = |i: usize| -> f64 { core_cells[i].iter().map(|&c| slice[c]).sum() };
+            pos = (0..4)
                 .filter(|&i| i != pos)
-                .min_by(|&a, &b| {
-                    let ta: f64 = core_cells[a].iter().map(|&c| slice[c]).sum();
-                    let tb: f64 = core_cells[b].iter().map(|&c| slice[c]).sum();
-                    ta.partial_cmp(&tb).expect("finite temps")
-                })
-                .expect("three candidates");
-            pos = next;
+                .min_by(|&a, &b| heat(a).total_cmp(&heat(b)))
+                .unwrap_or(pos);
             migrations += 1;
-        }
-        if step + 1 == max_steps {
-            completed = true;
         }
     }
 
@@ -305,7 +261,6 @@ pub fn threshold_migration_experiment(
         migrations,
         duration_s,
         max_hotspot_c: max_hot,
-        completed,
     })
 }
 
@@ -313,6 +268,7 @@ pub fn threshold_migration_experiment(
 mod tests {
     use super::*;
     use crate::system::SystemConfig;
+    use crate::XylemError;
     use xylem_stack::XylemScheme;
 
     fn system(scheme: XylemScheme) -> XylemSystem {
@@ -362,7 +318,6 @@ mod tests {
         )
         .unwrap();
         assert!(r.migrations > 0, "{r:?}");
-        assert!(r.completed);
         // A trip level no run reaches means no hops.
         let calm = threshold_migration_experiment(
             &s,
@@ -396,6 +351,36 @@ mod tests {
         let inner = run(&ThreadPlacement::inner());
         let outer = run(&ThreadPlacement::outer());
         assert!(inner <= outer, "inner {inner} vs outer {outer}");
+    }
+
+    #[test]
+    fn malformed_ring_or_schedule_is_a_config_error() {
+        let s = system(XylemScheme::Base);
+        let three = ThreadPlacement::new(vec![2, 3, 6]);
+        let r = migration_experiment(&s, Benchmark::Fft, &three, &quick_cfg());
+        assert!(matches!(r, Err(XylemError::Config(_))), "{r:?}");
+        let r = threshold_migration_experiment(
+            &s,
+            Benchmark::Fft,
+            &three,
+            2.4,
+            Celsius::new(80.0),
+            0.01,
+            GridSpec::new(12, 12),
+        );
+        assert!(matches!(r, Err(XylemError::Config(_))), "{r:?}");
+        let frozen = MigrationConfig {
+            period_s: 0.0,
+            ..quick_cfg()
+        };
+        let r = migration_experiment(&s, Benchmark::Fft, &ThreadPlacement::inner(), &frozen);
+        assert!(matches!(r, Err(XylemError::Config(_))), "{r:?}");
+        let unmeasured = MigrationConfig {
+            rotations: 1,
+            ..quick_cfg()
+        };
+        let r = migration_experiment(&s, Benchmark::Fft, &ThreadPlacement::inner(), &unmeasured);
+        assert!(matches!(r, Err(XylemError::Config(_))), "{r:?}");
     }
 
     #[test]

@@ -172,7 +172,7 @@ impl ThermalResponse {
             let _ = std::fs::create_dir_all(dir);
         }
         if let Ok(bytes) = serde_json::to_vec(&r) {
-            let _ = write_atomic(&path, &bytes);
+            let _ = write_atomic(&path, &bytes, true);
         }
         Ok(r)
     }
@@ -507,39 +507,5 @@ mod tests {
         let r = small_response(XylemScheme::Base);
         let field = vec![r.ambient().get(); 16 * 16];
         let _ = r.core_hotspot(&field, 0);
-    }
-}
-
-impl ThermalResponse {
-    /// Debug helper: first difference between two responses.
-    #[doc(hidden)]
-    pub fn debug_diff(&self, other: &ThermalResponse) -> String {
-        if self.proc_response.len() != other.proc_response.len() {
-            return format!(
-                "len {} vs {}",
-                self.proc_response.len(),
-                other.proc_response.len()
-            );
-        }
-        for (s, (x, y)) in self
-            .proc_response
-            .iter()
-            .zip(&other.proc_response)
-            .enumerate()
-        {
-            if x.len() != y.len() {
-                return format!("src {s}: len {} vs {}", x.len(), y.len());
-            }
-            for (c, (p, q)) in x.iter().zip(y).enumerate() {
-                if p.to_bits() != q.to_bits() {
-                    return format!(
-                        "src {s} cell {c}: {p} vs {q} (bits {:x} vs {:x})",
-                        p.to_bits(),
-                        q.to_bits()
-                    );
-                }
-            }
-        }
-        "identical".into()
     }
 }

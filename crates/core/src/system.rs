@@ -17,13 +17,19 @@ use xylem_stack::builder::{BuiltStack, StackConfig};
 use xylem_stack::XylemScheme;
 use xylem_thermal::error::ThermalError;
 use xylem_thermal::grid::GridSpec;
-use xylem_thermal::units::Celsius;
+use xylem_thermal::model::ThermalModel;
+use xylem_thermal::power::PowerMap;
+use xylem_thermal::units::{Celsius, Watts};
 use xylem_workloads::Benchmark;
 
 use crate::evaluation::{Evaluation, WorkloadResult};
 use crate::placement::ThreadPlacement;
 use crate::response::ThermalResponse;
 use crate::Result;
+
+/// DRAM temperature behind the refresh and leakage terms of every grid
+/// power map (the paper's T_dram,max operating corner).
+const DRAM_TEMP_ESTIMATE_C: f64 = 85.0;
 
 /// One application instance inside a run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -185,6 +191,83 @@ impl XylemSystem {
     /// The processor power model.
     pub fn power_model(&self) -> &ProcessorPowerModel {
         &self.power
+    }
+
+    /// A power map on `model` for a transient or direct solve: the block
+    /// powers of `cores` and `uncore` with leakage at `leakage`, on the
+    /// processor metal layer, plus the DRAM die power of `dram_rates`
+    /// (stack-wide read, write and activate commands per second) spread
+    /// uniformly over every DRAM metal layer. Each caller picks its own
+    /// leakage estimate; the DRAM sits at 85 C.
+    ///
+    /// # Errors
+    ///
+    /// Propagates floorplan errors (a power block missing from `model`).
+    pub fn power_map(
+        &self,
+        model: &ThermalModel,
+        cores: &[CoreActivity],
+        uncore: &UncoreActivity,
+        dram_rates: [f64; 3],
+        leakage: Celsius,
+    ) -> Result<PowerMap> {
+        let pm_layer = self.built.proc_metal_layer();
+        let mut map = PowerMap::zeros(model);
+        for (name, w) in &self.power.block_powers(cores, uncore, leakage) {
+            map.add_block_power(model, pm_layer, name, *w)?;
+        }
+        let dram_layers = self.built.dram_metal_layers();
+        let [read, write, activate] = dram_rates;
+        let die_w = self.dram_energy.die_power(
+            read,
+            write,
+            activate,
+            DRAM_TEMP_ESTIMATE_C,
+            dram_layers.len(),
+        );
+        for &l in dram_layers {
+            map.add_uniform_layer_power(l, Watts::new(die_w));
+        }
+        Ok(map)
+    }
+
+    /// [`Self::power_map`] for the threads of `metrics` on `cores` (ids
+    /// 1-8; the other cores idle at the same operating point), with
+    /// `uncore_share` of their uncore demand and all of their DRAM
+    /// traffic.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::power_map`].
+    pub fn metrics_power_map(
+        &self,
+        model: &ThermalModel,
+        metrics: &AppMetrics,
+        cores: &[usize],
+        uncore_share: f64,
+        leakage: Celsius,
+    ) -> Result<PowerMap> {
+        let point = self.power.dvfs().point_at(metrics.f_ghz);
+        let mut activities = [CoreActivity::idle(point); 8];
+        for &c in cores {
+            activities[c - 1] = CoreActivity {
+                activity: metrics.activity,
+                memory_intensity: metrics.memory_intensity,
+                point,
+            };
+        }
+        let uncore = UncoreActivity {
+            llc: metrics.llc_activity * uncore_share,
+            mc: metrics.mc_utilization.map(|u| u * uncore_share),
+            noc: metrics.noc_activity * uncore_share,
+            point,
+        };
+        let dram_rates = [
+            metrics.dram_read_rate,
+            metrics.dram_write_rate,
+            metrics.dram_activate_rate,
+        ];
+        self.power_map(model, &activities, &uncore, dram_rates, leakage)
     }
 
     /// Evaluates the standard 8-thread run of `benchmark` at `f_ghz`.

@@ -223,16 +223,6 @@ impl Channel {
         assert!(rank < 4 && bank < 4);
         self.banks[rank * 4 + bank].open_row
     }
-
-    /// Earliest time the bank can accept a new command, ns.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rank/bank are out of range.
-    pub fn bank_ready_at(&self, rank: usize, bank: usize) -> f64 {
-        assert!(rank < 4 && bank < 4);
-        self.banks[rank * 4 + bank].ready_at
-    }
 }
 
 /// The full 4-channel Wide I/O stack.

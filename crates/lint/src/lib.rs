@@ -415,17 +415,6 @@ pub fn audit_workspace(root: &Path) -> Result<WorkspaceReport, String> {
     Ok(report)
 }
 
-/// Checks every `.rs` file under `root` and returns the surviving
-/// findings (allowlist and baseline applied; stale entries ignored —
-/// use [`audit_workspace`] for the full verdict).
-///
-/// # Errors
-///
-/// Returns a description of filesystem or entry-file-format problems.
-pub fn check_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    Ok(audit_workspace(root)?.findings)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -92,6 +92,7 @@ const NO_PANIC_SUFFIXES: &[&str] = &[
     "crates/core/src/sensor.rs",
     "crates/core/src/checkpoint.rs",
     "crates/core/src/durable.rs",
+    "crates/core/src/migration.rs",
     "crates/core/src/supervise.rs",
     "crates/thermal/src/solve.rs",
     "crates/thermal/src/model.rs",

@@ -374,6 +374,16 @@ fn durable_layer_mount_is_panic_free() {
     assert_eq!(panics[0].symbol, "expect");
 }
 
+#[test]
+fn migration_mount_is_panic_free() {
+    // The migration experiments answer a malformed ring or schedule with
+    // a config error; an unwrap there would turn bad input into a crash.
+    let pos = fixture("serve_zone", "pos");
+    let panics = findings_of(NO_PANIC, "crates/core/src/migration.rs", &pos);
+    assert_eq!(panics.len(), 1, "{panics:?}");
+    assert_eq!(panics[0].symbol, "expect");
+}
+
 // ---- determinism-zone mount (scenario lowering) ------------------
 
 const SCENARIO_MOUNT: &str = "crates/scenario/src/lower.rs";

@@ -74,16 +74,6 @@ impl DvfsTable {
         }
     }
 
-    /// Lowest frequency, GHz.
-    pub fn min_frequency_ghz(&self) -> f64 {
-        self.f_min_ghz
-    }
-
-    /// Highest (design) frequency, GHz.
-    pub fn max_frequency_ghz(&self) -> f64 {
-        self.f_max_ghz
-    }
-
     /// Step size, GHz.
     pub fn step_ghz(&self) -> f64 {
         self.step_ghz

@@ -87,7 +87,10 @@ pub struct ServerConfig {
     pub quota: TenantQuota,
     /// Fault injection (None outside the chaos harness).
     pub chaos: Option<ChaosConfig>,
-    /// Whether journal appends fsync (crash drills require `true`).
+    /// Whether the spool fsyncs: journal appends, state checkpoints and
+    /// source files. `false` keeps every write, rename and its order, so
+    /// a killed process still resumes bit-identically (the page cache
+    /// outlives it), but a power loss may drop the newest records.
     pub sync: bool,
 }
 
@@ -191,31 +194,6 @@ pub struct ServerStatus {
     pub done: usize,
     /// Sessions quarantined (ever).
     pub quarantined: usize,
-}
-
-/// Per-session progress for tests and the protocol layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SessionReport {
-    /// Session id.
-    pub id: u64,
-    /// Owning tenant.
-    pub tenant: String,
-    /// Steps completed.
-    pub step: u32,
-    /// Total steps requested.
-    pub steps: u32,
-    /// Frames emitted.
-    pub frames: u32,
-    /// Frame chain digest.
-    pub chain: u64,
-    /// Tick the session was admitted on.
-    pub submit_tick: u64,
-    /// Tick of the first frame, if any.
-    pub first_frame_tick: Option<u64>,
-    /// Current throttle level.
-    pub level: u8,
-    /// Deadline misses so far.
-    pub deadline_misses: u32,
 }
 
 /// What `Server::open` recovered from the spool.
@@ -743,22 +721,6 @@ impl Server {
             done: self.done.len(),
             quarantined: self.quarantined.len(),
         }
-    }
-
-    /// Progress report for one live session (`None` once terminal).
-    pub fn session_report(&self, id: u64) -> Option<SessionReport> {
-        self.sessions.get(&id).map(|s| SessionReport {
-            id,
-            tenant: s.spec.tenant.clone(),
-            step: s.state.step,
-            steps: s.spec.steps,
-            frames: s.state.frames,
-            chain: s.state.chain,
-            submit_tick: s.submit_tick,
-            first_frame_tick: s.first_frame_tick,
-            level: s.state.level,
-            deadline_misses: s.state.deadline_misses,
-        })
     }
 
     /// Ids of durably completed sessions.

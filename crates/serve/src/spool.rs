@@ -13,7 +13,10 @@
 //! Crash-only discipline: both journals are append-only
 //! [`xylem::durable::Journal`]s, written line by line with an fsync
 //! *before* the checkpoint that supersedes the line's slice, and source
-//! files are written with [`write_atomic`]. A torn tail (the one
+//! files and state checkpoints are written with [`write_atomic`]. A
+//! spool opened with `sync` false skips every one of these fsyncs (the
+//! writes, the order and the renames stay): a killed process still
+//! resumes from the page cache, a power loss may not. A torn tail (the one
 //! partially-written line a SIGKILL can leave, possibly ending inside a
 //! multi-byte character) is ignored on open and physically truncated
 //! before appends resume; mid-file corruption, by contrast, is an error
@@ -104,6 +107,7 @@ pub struct SpoolScan {
 /// The server's durable storage handle.
 pub struct Spool {
     dir: PathBuf,
+    sync: bool,
     manifest: Journal,
     frames: Journal,
 }
@@ -232,6 +236,7 @@ impl Spool {
         Ok((
             Spool {
                 dir: dir.to_path_buf(),
+                sync,
                 manifest,
                 frames,
             },
@@ -250,7 +255,7 @@ impl Spool {
         if path.exists() {
             return Ok(());
         }
-        write_atomic(&path, source.as_bytes()).map_err(|e| io_ctx(e, &path))
+        write_atomic(&path, source.as_bytes(), self.sync).map_err(|e| io_ctx(e, &path))
     }
 
     /// Durably records an admission. Must precede any compute for the
@@ -326,10 +331,10 @@ impl Spool {
         self.dir.join("ckpt").join(format!("{id}.ckpt"))
     }
 
-    /// Durably checkpoints a session's state (atomic replace + fsync,
-    /// via the workspace checkpoint envelope).
+    /// Checkpoints a session's state (atomic replace via the workspace
+    /// checkpoint envelope; fsynced when the spool syncs).
     pub fn save_state(&self, id: u64, state: &SessionState) -> Result<(), ServeError> {
-        checkpoint::save_state(&self.ckpt_path(id), state)
+        checkpoint::save_state(&self.ckpt_path(id), state, self.sync)
             .map_err(|e| ServeError::Checkpoint(e.to_string()))
     }
 
@@ -386,11 +391,12 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_round_trip_through_reopen() {
-        let dir = tmp("roundtrip");
+    /// Writes every record kind into a fresh spool opened with `sync`,
+    /// reopens it and checks all of it came back.
+    fn round_trip(name: &str, sync: bool) {
+        let dir = tmp(name);
         {
-            let (mut spool, scan) = Spool::open(&dir, true).expect("open");
+            let (mut spool, scan) = Spool::open(&dir, sync).expect("open");
             assert!(scan.submits.is_empty());
             spool.record_source(7, "material ;").expect("source");
             spool.record_submit(&spec(1)).expect("submit");
@@ -416,7 +422,7 @@ mod tests {
                 .expect("done");
             spool.record_quarantine(2, "test").expect("quarantine");
         }
-        let (spool, scan) = Spool::open(&dir, true).expect("reopen");
+        let (spool, scan) = Spool::open(&dir, sync).expect("reopen");
         assert_eq!(scan.submits.len(), 2);
         assert_eq!(scan.submits[0], spec(1));
         assert!(scan.done.contains_key(&1));
@@ -429,6 +435,18 @@ mod tests {
         assert_eq!(state.step, 4);
         assert_eq!(state.temps, vec![1.0, 2.0]);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn records_round_trip_through_reopen() {
+        round_trip("roundtrip", true);
+    }
+
+    #[test]
+    fn unsynced_records_round_trip_through_reopen() {
+        // No fsyncs, the same files: a reopen in the same boot reads
+        // everything back.
+        round_trip("roundtrip-unsynced", false);
     }
 
     #[test]

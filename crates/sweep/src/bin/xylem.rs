@@ -20,6 +20,7 @@ use xylem::dtm::{
     dtm_transient_configured, frequency_strip, CheckpointConfig, DtmPolicy, DtmRunConfig,
 };
 use xylem::headroom::max_frequency_at_iso_temperature;
+use xylem::placement::ThreadPlacement;
 use xylem::system::{default_cache_dir, SystemConfig, XylemSystem};
 use xylem_stack::area::{AreaOverhead, SAMSUNG_WIDE_IO_DIE_AREA};
 use xylem_stack::dram_die::DramDieGeometry;
@@ -29,9 +30,8 @@ use xylem_sweep::{
     TaskStatus,
 };
 use xylem_thermal::grid::GridSpec;
-use xylem_thermal::power::PowerMap;
 use xylem_thermal::report::StackThermalReport;
-use xylem_thermal::units::{Celsius, Watts};
+use xylem_thermal::units::Celsius;
 use xylem_thermal::{AdaptiveOptions, DeadlineGuard};
 use xylem_workloads::Benchmark;
 
@@ -781,41 +781,15 @@ fn report(opts: &HashMap<String, String>) -> Result<(), String> {
     let grid = GridSpec::new(32, 32);
     let model = built.stack().discretize(grid).map_err(|e| e.to_string())?;
     let metrics = sys.machine().run(app, f, 8);
-    let dvfs = sys.power_model().dvfs().clone();
-    let point = dvfs.point_at(f);
-    let cores = vec![
-        xylem_power::CoreActivity {
-            activity: metrics.activity,
-            memory_intensity: metrics.memory_intensity,
-            point,
-        };
-        8
-    ];
-    let uncore = xylem_power::UncoreActivity {
-        llc: metrics.llc_activity,
-        mc: metrics.mc_utilization,
-        noc: metrics.noc_activity,
-        point,
-    };
-    let blocks = sys
-        .power_model()
-        .block_powers(&cores, &uncore, Celsius::new(90.0));
-    let mut map = PowerMap::zeros(&model);
-    for (name, w) in &blocks {
-        map.add_block_power(&model, built.proc_metal_layer(), name, *w)
-            .map_err(|e| e.to_string())?;
-    }
-    let n_dies = built.dram_metal_layers().len();
-    let die_w = xylem_dram::DramEnergyModel::paper_default().die_power(
-        metrics.dram_read_rate,
-        metrics.dram_write_rate,
-        metrics.dram_activate_rate,
-        85.0,
-        n_dies,
-    );
-    for &l in built.dram_metal_layers() {
-        map.add_uniform_layer_power(l, Watts::new(die_w));
-    }
+    let map = sys
+        .metrics_power_map(
+            &model,
+            &metrics,
+            ThreadPlacement::all_eight().cores(),
+            1.0,
+            Celsius::new(90.0),
+        )
+        .map_err(|e| e.to_string())?;
     let temps = model.steady_state(&map).map_err(|e| e.to_string())?;
     let r = StackThermalReport::new(&model, &temps);
     println!("{} on {} @ {f:.1} GHz (32x32 grid)", app, sys.scheme());

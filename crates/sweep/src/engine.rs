@@ -127,15 +127,6 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// The record for task `id`, if it is part of this sweep.
-    #[must_use]
-    pub fn result_of(&self, id: u64) -> Option<&TaskRecord> {
-        self.records
-            .binary_search_by_key(&id, |r| r.id)
-            .ok()
-            .map(|i| &self.records[i])
-    }
-
     /// Fails if any task was quarantined, carrying every quarantined
     /// task's key and final error.
     ///

@@ -85,23 +85,6 @@ impl Stack {
         })
     }
 
-    /// Mutable access to a layer (e.g. to paint TTSV patches after
-    /// construction).
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::IndexOutOfRange`] if out of range.
-    pub fn layer_mut(&mut self, index: usize) -> Result<&mut Layer, ThermalError> {
-        let len = self.layers.len();
-        self.layers
-            .get_mut(index)
-            .ok_or(ThermalError::IndexOutOfRange {
-                what: "layer",
-                index,
-                len,
-            })
-    }
-
     /// Index of the first layer with the given name.
     pub fn layer_index(&self, name: &str) -> Option<usize> {
         self.layers.iter().position(|l| l.name() == name)

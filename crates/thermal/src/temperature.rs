@@ -174,50 +174,6 @@ impl TemperatureField {
         }
         best
     }
-
-    /// Maximum temperature over the cells of a named block (weights from
-    /// the model's rasterization; cells with any block coverage count).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThermalModel::block_weights`] errors.
-    pub fn block_max(
-        &self,
-        model: &ThermalModel,
-        layer: usize,
-        block: &str,
-    ) -> Result<Celsius, ThermalError> {
-        let weights = model.block_weights(layer, block)?;
-        let s = self.layer_slice(layer);
-        Ok(Celsius::new(
-            weights
-                .iter()
-                .map(|&(c, _)| s[c])
-                .fold(f64::NEG_INFINITY, f64::max),
-        ))
-    }
-
-    /// Area-weighted mean temperature of a named block.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`ThermalModel::block_weights`] errors.
-    pub fn block_mean(
-        &self,
-        model: &ThermalModel,
-        layer: usize,
-        block: &str,
-    ) -> Result<Celsius, ThermalError> {
-        let weights = model.block_weights(layer, block)?;
-        let s = self.layer_slice(layer);
-        let mut acc = 0.0;
-        let mut tot = 0.0;
-        for &(c, w) in weights {
-            acc += s[c] * w;
-            tot += w;
-        }
-        Ok(Celsius::new(acc / tot.max(1e-30)))
-    }
 }
 
 #[cfg(test)]

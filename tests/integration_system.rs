@@ -1,12 +1,19 @@
 //! End-to-end integration: workload -> archsim -> power -> thermal, across
 //! crates, on reduced grids.
 
+use xylem::dtm::{
+    dtm_transient_configured, dtm_transient_phased, dvfs_power_maps, DtmPolicy, DtmResult,
+    DtmRunConfig,
+};
 use xylem::headroom::{max_frequency_at_iso_temperature, max_frequency_under_limits};
+use xylem::migration::{migration_experiment, threshold_migration_experiment, MigrationConfig};
 use xylem::placement::ThreadPlacement;
+use xylem::sensor::{FaultKind, SensorFault, SensorModel};
 use xylem::system::{Instance, RunSpec, SystemConfig, XylemSystem};
 use xylem_stack::XylemScheme;
+use xylem_thermal::grid::GridSpec;
 use xylem_thermal::units::Celsius;
-use xylem_workloads::Benchmark;
+use xylem_workloads::{Benchmark, PhasedWorkload};
 
 fn system(scheme: XylemScheme) -> XylemSystem {
     let mut cfg = SystemConfig::fast(scheme);
@@ -119,4 +126,114 @@ fn response_cache_survives_reuse_across_systems() {
         .unwrap();
     assert_eq!(e1.proc_hotspot_c, e2.proc_hotspot_c);
     assert_eq!(e1.total_power_w, e2.total_power_w);
+}
+
+// ---- Transient power maps and controller traces, pinned --------------
+
+fn bits_digest(v: &[f64]) -> String {
+    let bytes: Vec<u8> = v.iter().flat_map(|f| f.to_bits().to_le_bytes()).collect();
+    format!("{:016x}", xylem_obs::hash::fnv1a(&bytes))
+}
+
+/// Every float a DTM run reports: the trace, then the run summary.
+fn dtm_bits(r: &DtmResult) -> Vec<f64> {
+    let mut v: Vec<f64> = r
+        .samples
+        .iter()
+        .flat_map(|s| [s.time_s, s.f_ghz, s.hotspot.get()])
+        .collect();
+    v.extend([r.final_f_ghz, r.time_above_trip]);
+    v
+}
+
+/// Pins the bits of every transient power map and the traces built on
+/// them: the DVFS maps, a sensed DTM run with a stuck-hot sensor, a
+/// phased DTM run, both migration rings and threshold migration. The
+/// expected digests were captured on the code in which each of these
+/// callers still assembled its own power maps and the phased run had its
+/// own controller loop; routing them through one builder and one loop
+/// must move no bit.
+#[test]
+fn transient_power_bits_are_pinned() {
+    let base = system(XylemScheme::Base);
+    let banke = system(XylemScheme::BankEnhanced);
+
+    // Per-DVFS-point maps, BankEnhanced, Cholesky up to 3.5 GHz, 16x16.
+    let model = banke
+        .built()
+        .stack()
+        .discretize(GridSpec::new(16, 16))
+        .unwrap();
+    let (points, maps) = dvfs_power_maps(&banke, Benchmark::Cholesky, 3.5, &model).unwrap();
+    let mut flat = points.clone();
+    for m in &maps {
+        for l in 0..m.n_layers() {
+            flat.extend_from_slice(m.layer_slice(l));
+        }
+    }
+    assert_eq!(points.len(), maps.len());
+    assert_eq!(bits_digest(&flat), "8366c92452fc7d3d");
+
+    let policy = DtmPolicy {
+        control_period_s: 20e-3,
+        ..DtmPolicy::paper_default()
+    };
+    let grid = GridSpec::new(12, 12);
+
+    // Sensed run: the default array with sensor 0 stuck hot mid-run.
+    let run = DtmRunConfig {
+        sensors: Some(SensorModel::default_array(12, 12, 7)),
+        faults: vec![SensorFault {
+            sensor: 0,
+            kind: FaultKind::StuckAt,
+            from_step: 10,
+            to_step: 30,
+            value_c: 130.0,
+        }],
+        ..DtmRunConfig::new(policy)
+    };
+    let r = dtm_transient_configured(&base, Benchmark::Cholesky, 3.5, 1.0, &run, grid).unwrap();
+    assert_eq!(bits_digest(&dtm_bits(&r)), "0258e8729d9a33f7");
+    assert_eq!(
+        (r.throttle_events, r.failsafe_events, r.cg_iterations),
+        (18, 0, 344)
+    );
+
+    // Phased run: cool warm-up, hot main phase, tail.
+    let w = PhasedWorkload::standard(Benchmark::Cholesky);
+    let r = dtm_transient_phased(&base, &w, 3.5, 1.2, &policy, grid).unwrap();
+    assert_eq!(bits_digest(&dtm_bits(&r)), "ce975b666461c38c");
+    assert_eq!((r.throttle_events, r.cg_iterations), (12, 376));
+
+    // Fixed-schedule migration around both rings.
+    let cfg = MigrationConfig {
+        f_ghz: 2.4,
+        period_s: 0.030,
+        dt_s: 0.010,
+        rotations: 2,
+        grid,
+    };
+    let mut flat = Vec::new();
+    for ring in [ThreadPlacement::inner(), ThreadPlacement::outer()] {
+        let m = migration_experiment(&banke, Benchmark::Cholesky, &ring, &cfg).unwrap();
+        flat.extend([m.max_hotspot_c, m.mean_hotspot_c, m.migrations as f64]);
+    }
+    assert_eq!(bits_digest(&flat), "eaacb1de23f7e86a");
+
+    // Threshold-triggered migration.
+    let t = threshold_migration_experiment(
+        &banke,
+        Benchmark::Cholesky,
+        &ThreadPlacement::inner(),
+        3.4,
+        Celsius::new(72.0),
+        0.3,
+        grid,
+    )
+    .unwrap();
+    assert_eq!(
+        bits_digest(&[t.max_hotspot_c, t.duration_s]),
+        "58c1c2e1fa568549"
+    );
+    assert_eq!(t.migrations, 4);
 }
