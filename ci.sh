@@ -8,10 +8,10 @@
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (DTM on
 #                    # the default GMG solver, scenario solve, sweep)
-#   ./ci.sh bench    # regenerate BENCH_thermal.json: steady scaling up to
-#                    # 128x128, GMG setup/apply per grid, stencil-vs-CSR
-#                    # matvec microbench, matched-accuracy adaptive
-#                    # comparison
+#   ./ci.sh bench    # regenerate BENCH_thermal.json: steady solve and GMG
+#                    # setup/apply per grid up to 128x128 (median, min and
+#                    # IQR of interleaved samples), matched-accuracy
+#                    # adaptive comparison
 #   ./ci.sh faults   # fault-injection sweep: seeded sensor faults, forced
 #                    # solver failures, checkpoint/resume bit-identity,
 #                    # and the crash-consistency suites (checkpoint and
@@ -70,7 +70,7 @@ if [[ "${1:-}" == "sanitize" ]]; then
 fi
 
 if [[ "${1:-}" == "bench" ]]; then
-  echo "==> solver smoke bench (BENCH_thermal.json: scaling to 128x128, GMG setup/apply, stencil matvec)"
+  echo "==> solver smoke bench (BENCH_thermal.json: steady_state, preconditioner, adaptive)"
   # One pool thread, as perfbench pins it: the README reads these rows
   # as single-core, and an unpinned pool sizes itself to the core count.
   RAYON_NUM_THREADS=1 cargo run --release -q -p xylem-bench --bin bench_thermal_smoke

@@ -1,8 +1,11 @@
-//! Shared experiment infrastructure: tables, CSV output, system cache.
+//! Shared experiment infrastructure: tables, CSV output, system cache,
+//! and the one timing sampler the solver smoke benchmark uses.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::time::Instant;
 
+use serde::Serialize;
 use xylem::system::{SystemConfig, XylemSystem};
 use xylem_stack::XylemScheme;
 
@@ -196,6 +199,66 @@ impl Table {
     }
 }
 
+/// The summary of one timed row's samples, in milliseconds: the median,
+/// the fastest sample and the interquartile range, with the sample
+/// count they rest on.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct Timing {
+    /// Median sample.
+    pub median: f64,
+    /// Fastest sample.
+    pub min: f64,
+    /// Third minus first quartile (linear interpolation between order
+    /// statistics).
+    pub iqr: f64,
+    /// Number of samples.
+    pub samples: usize,
+}
+
+impl Timing {
+    /// Summarizes `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on empty input or a NaN sample.
+    pub fn of(samples: &[f64]) -> Timing {
+        assert!(!samples.is_empty(), "no samples to summarize");
+        let mut s = samples.to_vec();
+        s.sort_by(|a, b| a.partial_cmp(b).expect("samples are not NaN"));
+        let quantile = |q: f64| {
+            let pos = q * (s.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            s[lo] + (s[hi] - s[lo]) * (pos - lo as f64)
+        };
+        Timing {
+            median: quantile(0.5),
+            min: s[0],
+            iqr: quantile(0.75) - quantile(0.25),
+            samples: s.len(),
+        }
+    }
+}
+
+/// Times each of `rows` once per round for `rounds` rounds and returns
+/// each row's [`Timing`], in row order. Interleaving the rows spreads
+/// host drift (frequency scaling, a noisy neighbour) over every row
+/// instead of letting it land on whichever row happens to run last.
+///
+/// # Panics
+///
+/// Panics if `rounds` is zero.
+pub fn sample_rows(rounds: usize, rows: &mut [Box<dyn FnMut() + '_>]) -> Vec<Timing> {
+    let mut samples = vec![Vec::with_capacity(rounds); rows.len()];
+    for _ in 0..rounds {
+        for (row, out) in rows.iter_mut().zip(&mut samples) {
+            let t0 = Instant::now();
+            row();
+            out.push(t0.elapsed().as_secs_f64() * 1e3);
+        }
+    }
+    samples.iter().map(|s| Timing::of(s)).collect()
+}
+
 /// Formats a float with the given precision.
 pub fn fmt(v: f64, digits: usize) -> String {
     format!("{v:.digits$}")
@@ -252,5 +315,60 @@ mod tests {
     fn means() {
         assert!((mean(&[1.0, 2.0, 3.0]) - 2.0).abs() < 1e-12);
         assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn timing_of_an_odd_sample_set() {
+        let t = Timing::of(&[5.0, 1.0, 4.0, 2.0, 3.0]);
+        assert_eq!(
+            t,
+            Timing {
+                median: 3.0,
+                min: 1.0,
+                iqr: 2.0,
+                samples: 5
+            }
+        );
+    }
+
+    #[test]
+    fn timing_of_an_even_sample_set_interpolates() {
+        // Quartile positions 0.75 and 2.25 of the sorted [1, 2, 3, 4]:
+        // q1 = 1.75, median = 2.5, q3 = 3.25.
+        let t = Timing::of(&[4.0, 3.0, 2.0, 1.0]);
+        assert_eq!(
+            t,
+            Timing {
+                median: 2.5,
+                min: 1.0,
+                iqr: 1.5,
+                samples: 4
+            }
+        );
+    }
+
+    #[test]
+    fn one_outlier_moves_the_mean_not_the_median() {
+        let quiet = [2.0, 2.0, 2.0, 2.0, 2.0];
+        let spiked = [2.0, 2.0, 2.0, 2.0, 200.0];
+        assert!(mean(&spiked) > 10.0 * mean(&quiet));
+        assert_eq!(Timing::of(&spiked).median, Timing::of(&quiet).median);
+        assert_eq!(Timing::of(&spiked).min, 2.0);
+    }
+
+    #[test]
+    fn each_round_visits_every_row_once() {
+        let visits = std::cell::RefCell::new(Vec::new());
+        let mut rows: Vec<Box<dyn FnMut()>> = (0..3)
+            .map(|i| {
+                let visits = &visits;
+                Box::new(move || visits.borrow_mut().push(i)) as Box<dyn FnMut()>
+            })
+            .collect();
+        let timings = sample_rows(4, &mut rows);
+        drop(rows);
+        assert_eq!(visits.into_inner(), [0, 1, 2].repeat(4));
+        assert_eq!(timings.len(), 3);
+        assert!(timings.iter().all(|t| t.samples == 4 && t.min >= 0.0));
     }
 }

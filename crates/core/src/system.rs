@@ -178,11 +178,6 @@ impl XylemSystem {
         self.config.stack.scheme
     }
 
-    /// The unit-response table.
-    pub fn response(&self) -> &ThermalResponse {
-        &self.response
-    }
-
     /// The performance model.
     pub fn machine(&self) -> &Machine {
         &self.machine

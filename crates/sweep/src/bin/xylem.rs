@@ -8,7 +8,7 @@
 //! xylem sweep    --schemes base,banke --thickness-um 50,100,200 --journal s.jsonl
 //! xylem sweep    --scenario my.stk --grids 16,32 --power-scale 0.5,1,2
 //! xylem report   --scheme base --app Barnes --freq 2.4
-//! xylem dtm      --scheme base --app "LU(NAS)" --freq 3.5 --duration 2.0
+//! xylem dtm      --scheme base --app "LU(NAS)" --freq 3.5 --duration 2.0 --sensors
 //! xylem serve    --selftest --sessions 1000 --kill-drill
 //! xylem schemes
 //! ```
@@ -21,6 +21,7 @@ use xylem::dtm::{
 };
 use xylem::headroom::max_frequency_at_iso_temperature;
 use xylem::placement::ThreadPlacement;
+use xylem::sensor::SensorModel;
 use xylem::system::{default_cache_dir, SystemConfig, XylemSystem};
 use xylem_stack::area::{AreaOverhead, SAMSUNG_WIDE_IO_DIE_AREA};
 use xylem_stack::dram_die::DramDieGeometry;
@@ -135,7 +136,7 @@ fn usage() {
            schemes                                  list TTSV schemes and overheads\n\
          \n\
          schemes: base bank banke isoCount prior;  apps: FFT Cholesky ... (paper names)\n\
-         optional: --grid N (default 64)\n\
+         optional: --grid N   N x N thermal grid (default 64; report 32, dtm 24)\n\
                    --metrics-out PATH   write JSONL metrics (manifest, per-step/per-solve\n\
                                         events, run report) and print the run summary\n\
          sweep axes (comma-separated lists): --schemes --apps --freqs --thickness-um\n\
@@ -154,6 +155,8 @@ fn usage() {
                    --stdio [--spool DIR]   serve the line-delimited JSON protocol on\n\
                                         stdin/stdout; a reused spool resumes its sessions\n\
          dtm only: --checkpoint PATH [--every N] [--resume]   save/restore the run state\n\
+                   --sensors   read the hotspot through a noisy, quantized 2x2 sensor\n\
+                                        array (seed 1) instead of the true field\n\
                    --adaptive [--rtol R]   error-controlled adaptive sub-stepping\n\
                    --budget-cg N / --budget-wall-s S / --budget-rejects N   run budgets\n\
                                         (exhaustion degrades to economy stepping, never aborts)"
@@ -221,18 +224,32 @@ fn freq_of(opts: &HashMap<String, String>) -> Result<f64, String> {
     }
 }
 
-fn system_of(opts: &HashMap<String, String>) -> Result<XylemSystem, String> {
-    let scheme = scheme_of(opts)?;
-    let mut cfg = SystemConfig::paper_default(scheme);
-    if let Some(g) = opts.get("grid") {
-        let n: usize = g.parse().map_err(|_| format!("bad --grid '{g}'"))?;
-        cfg.grid = GridSpec::new(n, n);
-    }
+/// The `--grid N` thermal grid (N x N), or `default` x `default` when
+/// the flag is absent.
+fn grid_of(opts: &HashMap<String, String>, default: usize) -> Result<GridSpec, String> {
+    let n = match opts.get("grid") {
+        None => default,
+        Some(g) => g
+            .parse()
+            .ok()
+            .filter(|&n: &usize| n > 0)
+            .ok_or_else(|| format!("bad --grid '{g}'"))?,
+    };
+    Ok(GridSpec::new(n, n))
+}
+
+/// The paper-default system for `--scheme`, with its unit responses on
+/// `grid`.
+fn system_of(opts: &HashMap<String, String>, grid: GridSpec) -> Result<XylemSystem, String> {
+    let cfg = SystemConfig {
+        grid,
+        ..SystemConfig::paper_default(scheme_of(opts)?)
+    };
     XylemSystem::new(cfg).map_err(|e| e.to_string())
 }
 
 fn evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
-    let mut sys = system_of(opts)?;
+    let mut sys = system_of(opts, grid_of(opts, 64)?)?;
     let app = app_of(opts)?;
     let f = freq_of(opts)?;
     let e = sys.evaluate_uniform(app, f).map_err(|e| e.to_string())?;
@@ -252,13 +269,14 @@ fn evaluate(opts: &HashMap<String, String>) -> Result<(), String> {
 
 fn boost(opts: &HashMap<String, String>) -> Result<(), String> {
     let app = app_of(opts)?;
+    let grid = grid_of(opts, 64)?;
     let mut base = {
         let mut o = opts.clone();
         o.insert("scheme".into(), "base".into());
-        system_of(&o)?
+        system_of(&o, grid)?
     };
     let reference = base.evaluate_uniform(app, 2.4).map_err(|e| e.to_string())?;
-    let mut sys = system_of(opts)?;
+    let mut sys = system_of(opts, grid)?;
     let out =
         max_frequency_at_iso_temperature(&mut sys, app, Celsius::new(reference.proc_hotspot_c))
             .map_err(|e| e.to_string())?;
@@ -287,7 +305,7 @@ fn boost(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn apps(opts: &HashMap<String, String>) -> Result<(), String> {
-    let mut sys = system_of(opts)?;
+    let mut sys = system_of(opts, grid_of(opts, 64)?)?;
     let f = freq_of(opts)?;
     println!(
         "{:12} {:>9} {:>9} {:>8} {:>9}",
@@ -773,13 +791,16 @@ fn serve(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn report(opts: &HashMap<String, String>) -> Result<(), String> {
-    let sys = system_of(opts)?;
+    let grid = grid_of(opts, 32)?;
+    let sys = system_of(opts, grid)?;
     let app = app_of(opts)?;
     let f = freq_of(opts)?;
     // Direct solve (not the response cache) so every layer is sensed.
-    let built = sys.built();
-    let grid = GridSpec::new(32, 32);
-    let model = built.stack().discretize(grid).map_err(|e| e.to_string())?;
+    let model = sys
+        .built()
+        .stack()
+        .discretize(grid)
+        .map_err(|e| e.to_string())?;
     let metrics = sys.machine().run(app, f, 8);
     let map = sys
         .metrics_power_map(
@@ -792,7 +813,13 @@ fn report(opts: &HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let temps = model.steady_state(&map).map_err(|e| e.to_string())?;
     let r = StackThermalReport::new(&model, &temps);
-    println!("{} on {} @ {f:.1} GHz (32x32 grid)", app, sys.scheme());
+    println!(
+        "{} on {} @ {f:.1} GHz ({}x{} grid)",
+        app,
+        sys.scheme(),
+        grid.nx(),
+        grid.ny()
+    );
     print!("{}", r.render());
     println!(
         "D2D share of the internal rise: {:.0}%",
@@ -802,7 +829,8 @@ fn report(opts: &HashMap<String, String>) -> Result<(), String> {
 }
 
 fn dtm(opts: &HashMap<String, String>) -> Result<(), String> {
-    let sys = system_of(opts)?;
+    let grid = grid_of(opts, 24)?;
+    let sys = system_of(opts, grid)?;
     let app = app_of(opts)?;
     let f = freq_of(opts)?;
     let duration: f64 = opts
@@ -843,6 +871,9 @@ fn dtm(opts: &HashMap<String, String>) -> Result<(), String> {
         policy = policy.with_adaptive(a);
     }
     let run = DtmRunConfig {
+        sensors: opts
+            .contains_key("sensors")
+            .then(|| SensorModel::default_array(grid.nx(), grid.ny(), 1)),
         checkpoint: checkpoint.map(|path| CheckpointConfig {
             path,
             every_steps: every,
@@ -854,8 +885,8 @@ fn dtm(opts: &HashMap<String, String>) -> Result<(), String> {
             .transpose()?,
         ..DtmRunConfig::new(policy)
     };
-    let r = dtm_transient_configured(&sys, app, f, duration, &run, GridSpec::new(24, 24))
-        .map_err(|e| e.to_string())?;
+    let r =
+        dtm_transient_configured(&sys, app, f, duration, &run, grid).map_err(|e| e.to_string())?;
     println!(
         "{} on {}: requested {f:.1} GHz for {duration:.1} s",
         app,
