@@ -178,7 +178,7 @@ cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml --
 echo "==> bench targets (compile-only)"
 cargo check --workspace --benches --offline
 
-echo "==> xylem-lint determinism audit (nine rules, baseline ratchet, stale check)"
+echo "==> xylem-lint determinism audit (ten rules, baseline ratchet, stale check)"
 cargo run -q -p xylem-lint
 echo "==> xylem-lint --json (machine-readable findings, schema-locked JSONL)"
 cargo run -q -p xylem-lint -- --json

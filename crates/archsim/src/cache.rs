@@ -53,17 +53,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Misses per kilo-access.
-    pub fn miss_rate(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 /// A set-associative LRU cache.
 #[derive(Debug, Clone)]
 pub struct Cache {
@@ -331,6 +320,5 @@ mod tests {
         c.access(64, false, LineState::Exclusive); // different set/line -> miss
         assert_eq!(c.stats().accesses, 10);
         assert_eq!(c.stats().misses, 2);
-        assert!((c.stats().miss_rate() - 0.2).abs() < 1e-12);
     }
 }

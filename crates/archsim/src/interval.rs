@@ -88,24 +88,24 @@ pub fn exec_time_s(
     profile.instructions as f64 * b.total() / (f_ghz * 1e9)
 }
 
-/// Speedup of `f_ghz` over `f_ref_ghz` for `profile` (same DRAM latency).
-pub fn speedup(
-    arch: &ArchConfig,
-    profile: &WorkloadProfile,
-    f_ref_ghz: f64,
-    f_ghz: f64,
-    dram_latency_ns: f64,
-) -> f64 {
-    exec_time_s(arch, profile, f_ref_ghz, dram_latency_ns)
-        / exec_time_s(arch, profile, f_ghz, dram_latency_ns)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xylem_workloads::Benchmark;
 
     const LAT: f64 = 42.0;
+
+    /// Speedup of `f_ghz` over `f_ref_ghz` for `profile` (same DRAM latency).
+    fn speedup(
+        arch: &ArchConfig,
+        profile: &WorkloadProfile,
+        f_ref_ghz: f64,
+        f_ghz: f64,
+        dram_latency_ns: f64,
+    ) -> f64 {
+        exec_time_s(arch, profile, f_ref_ghz, dram_latency_ns)
+            / exec_time_s(arch, profile, f_ghz, dram_latency_ns)
+    }
 
     #[test]
     fn dram_component_scales_with_frequency_in_cycles_not_time() {

@@ -225,32 +225,6 @@ impl Machine {
         stack.total_stats().mean_latency_ns()
     }
 
-    /// Runs `benchmark` through the **measured** path: generates traces,
-    /// measures the cache hierarchy, substitutes the measured miss rates
-    /// into the profile, and evaluates the interval model on them. This
-    /// closes the loop between the synthetic traces and the analytic
-    /// profiles; tests assert the two paths agree qualitatively.
-    ///
-    /// `instructions` is the per-thread trace length for the measurement
-    /// (trade accuracy for time).
-    pub fn run_measured(
-        &self,
-        benchmark: Benchmark,
-        f_ghz: f64,
-        threads: usize,
-        instructions: u64,
-        seed: u64,
-    ) -> AppMetrics {
-        let report = self.simulate_hierarchy(benchmark, instructions, threads, seed);
-        let mut profile = benchmark.profile();
-        profile.l1i_mpki = report.l1i_mpki;
-        profile.l1d_mpki = report.l1d_mpki;
-        profile.l2_mpki = report.l2_mpki;
-        profile.sharing_fraction = report.c2c_fraction.clamp(0.0, 1.0);
-        let lat = self.dram_latency_under_load(&profile, f_ghz, threads);
-        self.metrics_for_latency(&profile, f_ghz, threads, lat)
-    }
-
     /// Trace-driven cache-hierarchy simulation: `instructions` slots per
     /// thread through private L1I/L1D (write-through, no-write-allocate
     /// data cache per Table 3) and the MESI-coherent private L2s.
@@ -418,29 +392,5 @@ mod tests {
     fn too_many_threads_panics() {
         let m = Machine::paper_default();
         let _ = m.run(Benchmark::Fft, 2.4, 9);
-    }
-
-    #[test]
-    fn measured_path_agrees_with_profile_path_qualitatively() {
-        let m = Machine::paper_default();
-        // Measured exec times preserve the compute/memory ordering.
-        let lu_a = m.run(Benchmark::LuNas, 2.4, 4);
-        let lu_m = m.run_measured(Benchmark::LuNas, 2.4, 4, 30_000, 7);
-        let is_a = m.run(Benchmark::Is, 2.4, 4);
-        let is_m = m.run_measured(Benchmark::Is, 2.4, 4, 30_000, 7);
-        // Per-instruction cost: memory-bound > compute-bound on both paths.
-        assert!(is_a.cpi.total() > lu_a.cpi.total());
-        assert!(is_m.cpi.total() > lu_m.cpi.total());
-        // Activities track each other within a factor of 2.
-        let ratio = lu_m.activity / lu_a.activity;
-        assert!((0.5..2.0).contains(&ratio), "{ratio}");
-    }
-
-    #[test]
-    fn measured_path_is_deterministic_per_seed() {
-        let m = Machine::paper_default();
-        let a = m.run_measured(Benchmark::Fft, 2.8, 2, 20_000, 3);
-        let b = m.run_measured(Benchmark::Fft, 2.8, 2, 20_000, 3);
-        assert_eq!(a, b);
     }
 }

@@ -21,9 +21,9 @@
 //! mid-write never corrupts the previous checkpoint, and a power loss
 //! just after `save` returns cannot un-link the new file.
 //!
-//! The envelope is payload-agnostic: [`save_state`] / [`save_payload`] /
-//! [`load_payload`] wrap any serialized state in the same
-//! magic/version/checksum armor, which is how xylem-serve persists
+//! The envelope is payload-agnostic: [`save_state`] / [`load_payload`]
+//! wrap any serialized state in the same magic/version/checksum armor,
+//! which is how xylem-serve persists
 //! per-session state without reimplementing the durability protocol.
 //! Each save records its text encode and its atomic write in the
 //! `checkpoint_encode_ms` and `checkpoint_write_ms` histograms.
@@ -158,21 +158,11 @@ fn write_envelope(
     write_atomic(path, &bytes, sync).map_err(|e| io_err(path, e))
 }
 
-/// Writes `payload` to `path` wrapped in the checkpoint envelope
-/// (magic, version, FNV-1a checksum) via [`write_atomic`]: either the
-/// old content or the new survives a power loss at any instant, never a
-/// torn mix, never a vanished entry.
-///
-/// # Errors
-///
-/// [`CheckpointError::Io`] on filesystem failures.
-pub fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
-    let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
-    write_envelope(path, payload, encode, true)
-}
-
-/// Serializes `state` to JSON and writes it like [`save_payload`],
-/// skipping the fsyncs when `sync` is false (see [`write_atomic`]). The
+/// Serializes `state` to JSON and writes it wrapped in the checkpoint
+/// envelope (magic, version, FNV-1a checksum) via [`write_atomic`]:
+/// either the old content or the new survives a power loss at any
+/// instant, never a torn mix, never a vanished entry. `sync = false`
+/// skips the fsyncs (see [`write_atomic`]). The
 /// `checkpoint_encode_ms` histogram gets the whole text encode (state,
 /// checksum, envelope), `checkpoint_write_ms` the atomic write.
 ///
@@ -192,7 +182,7 @@ pub fn save_state<T: Serialize + ?Sized>(
     write_envelope(path, &payload, encode, sync)
 }
 
-/// Reads and validates an envelope written by [`save_payload`] (magic,
+/// Reads and validates an envelope written by [`save_state`] (magic,
 /// version range, checksum) and returns the verified payload string.
 ///
 /// # Errors
@@ -304,6 +294,13 @@ impl DtmCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Writes a raw `payload` string in the envelope, as `save_state`
+    /// does for a serialized state.
+    fn save_payload(path: &Path, payload: &str) -> Result<(), CheckpointError> {
+        let encode = span("checkpoint_encode", Some(Hist::CheckpointEncodeMs));
+        write_envelope(path, payload, encode, true)
+    }
 
     fn sample_checkpoint() -> DtmCheckpoint {
         DtmCheckpoint {

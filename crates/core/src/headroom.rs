@@ -13,12 +13,9 @@
 
 use serde::{Deserialize, Serialize};
 
-use xylem_thermal::grid::GridSpec;
 use xylem_thermal::units::Celsius;
-use xylem_thermal::SolverWorkspace;
 use xylem_workloads::Benchmark;
 
-use crate::dtm::dvfs_power_maps;
 use crate::evaluation::Evaluation;
 use crate::system::{RunSpec, XylemSystem};
 use crate::Result;
@@ -118,96 +115,88 @@ pub fn max_frequency_at_iso_temperature(
     })
 }
 
-/// Highest frequency for the standard 8-thread run under the paper's DTM
-/// limits (T_j,max = 100 deg C, DRAM <= 95 deg C).
-///
-/// # Errors
-///
-/// Propagates evaluation errors.
-pub fn max_frequency_under_limits(
-    system: &mut XylemSystem,
-    benchmark: Benchmark,
-) -> Result<Option<BoostOutcome>> {
-    max_frequency_for_run(system, ThermalLimits::paper_dtm(), |f| {
-        RunSpec::uniform(benchmark, f)
-    })
-}
-
-/// Result of a [`max_frequency_direct`] search.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DirectBoostOutcome {
-    /// Highest admissible frequency, GHz.
-    pub f_ghz: f64,
-    /// Processor hotspot at that frequency.
-    pub proc_hotspot: Celsius,
-    /// Bottom-DRAM hotspot at that frequency.
-    pub dram_hotspot: Celsius,
-    /// Total CG iterations across all frequencies scanned. Each solve
-    /// warm-starts from the previous (slightly cooler) frequency's
-    /// field, so the whole scan costs little more than one cold solve.
-    pub cg_iterations: usize,
-}
-
-/// Frequency search by *direct* steady-state solves instead of the
-/// superposed response cache: scans the DVFS table bottom-up, solving
-/// the full thermal system at each point and warm-starting each solve
-/// from the previous frequency's temperature field. Cross-validates the
-/// response-cache search (same model, no superposition error) and is
-/// the natural consumer of the solver's warm-start contract — adjacent
-/// DVFS points differ by a few degrees, so each subsequent solve
-/// converges in a fraction of the cold iteration count.
-///
-/// Returns `None` if even the lowest point violates `limits`.
-///
-/// # Errors
-///
-/// Propagates model errors.
-pub fn max_frequency_direct(
-    system: &XylemSystem,
-    benchmark: Benchmark,
-    limits: ThermalLimits,
-    grid: GridSpec,
-) -> Result<Option<DirectBoostOutcome>> {
-    let built = system.built();
-    let model = built.stack().discretize(grid)?;
-    let pm_layer = built.proc_metal_layer();
-    let bd_layer = built.bottom_dram_metal_layer();
-    let (points, maps) = dvfs_power_maps(system, benchmark, f64::INFINITY, &model)?;
-
-    let mut ws = SolverWorkspace::new();
-    let mut prev: Option<xylem_thermal::TemperatureField> = None;
-    let mut best: Option<DirectBoostOutcome> = None;
-    let mut cg_iterations = 0usize;
-    for (f, map) in points.iter().zip(&maps) {
-        let field = model.steady_state_from(map, prev.as_ref(), &mut ws)?;
-        cg_iterations += field.stats().iterations;
-        let proc_hot = field.max_of_layer(pm_layer);
-        let dram_hot = field.max_of_layer(bd_layer);
-        let admitted = proc_hot.get() <= limits.proc.get() + 1e-9
-            && limits.dram.is_none_or(|d| dram_hot.get() <= d.get() + 1e-9);
-        if admitted {
-            best = Some(DirectBoostOutcome {
-                f_ghz: *f,
-                proc_hotspot: proc_hot,
-                dram_hotspot: dram_hot,
-                cg_iterations,
-            });
-        } else {
-            break; // temperature is monotone in frequency
-        }
-        prev = Some(field);
-    }
-    if let Some(b) = &mut best {
-        b.cg_iterations = cg_iterations;
-    }
-    Ok(best)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dtm::dvfs_power_maps;
     use crate::system::SystemConfig;
     use xylem_stack::XylemScheme;
+    use xylem_thermal::grid::GridSpec;
+    use xylem_thermal::SolverWorkspace;
+
+    /// Highest frequency for the standard 8-thread run under the paper's
+    /// DTM limits (T_j,max = 100 deg C, DRAM <= 95 deg C).
+    fn max_frequency_under_limits(
+        system: &mut XylemSystem,
+        benchmark: Benchmark,
+    ) -> Result<Option<BoostOutcome>> {
+        max_frequency_for_run(system, ThermalLimits::paper_dtm(), |f| {
+            RunSpec::uniform(benchmark, f)
+        })
+    }
+
+    /// Result of a [`max_frequency_direct`] search.
+    #[derive(Debug)]
+    struct DirectBoostOutcome {
+        /// Highest admissible frequency, GHz.
+        f_ghz: f64,
+        /// Processor hotspot at that frequency.
+        proc_hotspot: Celsius,
+        /// Total CG iterations across all frequencies scanned. Each solve
+        /// warm-starts from the previous (slightly cooler) frequency's
+        /// field, so the whole scan costs little more than one cold solve.
+        cg_iterations: usize,
+    }
+
+    /// Frequency search by *direct* steady-state solves instead of the
+    /// superposed response cache: scans the DVFS table bottom-up, solving
+    /// the full thermal system at each point and warm-starting each solve
+    /// from the previous frequency's temperature field. Cross-validates the
+    /// response-cache search (same model, no superposition error) and is
+    /// the natural consumer of the solver's warm-start contract — adjacent
+    /// DVFS points differ by a few degrees, so each subsequent solve
+    /// converges in a fraction of the cold iteration count.
+    ///
+    /// Returns `None` if even the lowest point violates `limits`.
+    fn max_frequency_direct(
+        system: &XylemSystem,
+        benchmark: Benchmark,
+        limits: ThermalLimits,
+        grid: GridSpec,
+    ) -> Result<Option<DirectBoostOutcome>> {
+        let built = system.built();
+        let model = built.stack().discretize(grid)?;
+        let pm_layer = built.proc_metal_layer();
+        let bd_layer = built.bottom_dram_metal_layer();
+        let (points, maps) = dvfs_power_maps(system, benchmark, f64::INFINITY, &model)?;
+
+        let mut ws = SolverWorkspace::new();
+        let mut prev: Option<xylem_thermal::TemperatureField> = None;
+        let mut best: Option<DirectBoostOutcome> = None;
+        let mut cg_iterations = 0usize;
+        for (f, map) in points.iter().zip(&maps) {
+            let field = model.steady_state_from(map, prev.as_ref(), &mut ws)?;
+            cg_iterations += field.stats().iterations;
+            let proc_hot = field.max_of_layer(pm_layer);
+            let dram_hot = field.max_of_layer(bd_layer);
+            let admitted = proc_hot.get() <= limits.proc.get() + 1e-9
+                && limits.dram.is_none_or(|d| dram_hot.get() <= d.get() + 1e-9);
+            if admitted {
+                best = Some(DirectBoostOutcome {
+                    f_ghz: *f,
+                    proc_hotspot: proc_hot,
+                    cg_iterations,
+                });
+            } else {
+                break; // temperature is monotone in frequency
+            }
+            prev = Some(field);
+        }
+        if let Some(b) = &mut best {
+            b.cg_iterations = cg_iterations;
+        }
+        Ok(best)
+    }
 
     fn system(scheme: XylemScheme) -> XylemSystem {
         let mut cfg = SystemConfig::fast(scheme);

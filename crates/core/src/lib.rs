@@ -19,7 +19,8 @@
 //! * **frequency boosting into the thermal headroom** (Sec. 5.1) —
 //!   [`headroom`];
 //! * **dynamic thermal management** (frequency throttling to `T_j,max`) —
-//!   [`headroom::max_frequency_under_limits`];
+//!   [`headroom::max_frequency_for_run`] under
+//!   [`headroom::ThermalLimits::paper_dtm`];
 //! * **conductivity-aware thread placement, frequency boosting, and
 //!   thread migration** (Sec. 5.2) — [`lambda_aware`].
 //!

@@ -16,6 +16,7 @@ use serde::{Deserialize, Serialize};
 
 use xylem_thermal::grid::GridSpec;
 use xylem_thermal::units::Celsius;
+use xylem_thermal::SolverWorkspace;
 use xylem_workloads::Benchmark;
 
 use crate::error::ConfigError;
@@ -81,6 +82,15 @@ fn check_ring(ring: &ThreadPlacement) -> Result<()> {
     Ok(())
 }
 
+/// Rejects a duration or step (`what`, seconds) that is not positive and
+/// finite.
+fn check_seconds(what: &'static str, v: f64) -> Result<()> {
+    if !(v.is_finite() && v > 0.0) {
+        return Err(ConfigError::new(what, format!("{v} s must be positive and finite")).into());
+    }
+    Ok(())
+}
+
 /// Runs the migration experiment for `benchmark` around `ring` (4 cores).
 ///
 /// # Errors
@@ -95,13 +105,8 @@ pub fn migration_experiment(
     cfg: &MigrationConfig,
 ) -> Result<MigrationResult> {
     check_ring(ring)?;
-    for (what, v) in [("period_s", cfg.period_s), ("dt_s", cfg.dt_s)] {
-        if !(v.is_finite() && v > 0.0) {
-            return Err(
-                ConfigError::new(what, format!("{v} s must be positive and finite")).into(),
-            );
-        }
-    }
+    check_seconds("period_s", cfg.period_s)?;
+    check_seconds("dt_s", cfg.dt_s)?;
     if cfg.rotations < 2 {
         return Err(ConfigError::new(
             "rotations",
@@ -139,11 +144,12 @@ pub fn migration_experiment(
     let mut sum_hot = 0.0;
     let mut samples = 0usize;
     let mut migrations = 0usize;
+    let mut ws = SolverWorkspace::new();
 
     for rotation in 0..cfg.rotations {
         for map in &phase_maps {
             for _ in 0..steps_per_period {
-                field = model.transient(map, &field, cfg.dt_s, 1)?;
+                field = model.transient_with(map, &field, cfg.dt_s, 1, None, &mut ws)?;
                 if rotation > 0 {
                     let hot = field.max_of_layer(pm_layer).get();
                     max_hot = max_hot.max(hot);
@@ -186,8 +192,9 @@ pub struct ThresholdMigrationResult {
 ///
 /// # Errors
 ///
-/// [`crate::XylemError::Config`] if `ring` does not hold exactly 4 cores;
-/// otherwise propagates model errors.
+/// [`crate::XylemError::Config`] if `ring` does not hold exactly 4 cores
+/// or `duration_s` is not positive and finite; otherwise propagates model
+/// errors.
 pub fn threshold_migration_experiment(
     system: &XylemSystem,
     benchmark: Benchmark,
@@ -198,6 +205,7 @@ pub fn threshold_migration_experiment(
     grid: GridSpec,
 ) -> Result<ThresholdMigrationResult> {
     check_ring(ring)?;
+    check_seconds("duration_s", duration_s)?;
     let built = system.built();
     let model = built.stack().discretize(grid)?;
     let pm_layer = built.proc_metal_layer();
@@ -238,8 +246,9 @@ pub fn threshold_migration_experiment(
         })
         .collect();
 
+    let mut ws = SolverWorkspace::new();
     for _ in 0..max_steps {
-        field = model.transient(&maps[pos], &field, dt, 1)?;
+        field = model.transient_with(&maps[pos], &field, dt, 1, None, &mut ws)?;
         let slice = field.layer_slice(pm_layer);
         let active_hot = core_cells[pos]
             .iter()
@@ -381,6 +390,23 @@ mod tests {
         };
         let r = migration_experiment(&s, Benchmark::Fft, &ThreadPlacement::inner(), &unmeasured);
         assert!(matches!(r, Err(XylemError::Config(_))), "{r:?}");
+        // NaN, zero or negative would run no step and report a -inf
+        // hotspot; +inf would never end.
+        for duration_s in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+            let r = threshold_migration_experiment(
+                &s,
+                Benchmark::Fft,
+                &ThreadPlacement::inner(),
+                2.4,
+                Celsius::new(80.0),
+                duration_s,
+                GridSpec::new(12, 12),
+            );
+            assert!(
+                matches!(r, Err(XylemError::Config(_))),
+                "{duration_s}: {r:?}"
+            );
+        }
     }
 
     #[test]

@@ -207,12 +207,6 @@ impl ThermalResponse {
         dir.join(format!("response-{:016x}.json", xylem_obs::fnv1a(&key)))
     }
 
-    /// Whether two responses have identical processor-side unit
-    /// responses (used by cache tests).
-    pub fn proc_response_eq(&self, other: &ThermalResponse) -> bool {
-        self.proc_response == other.proc_response
-    }
-
     /// Ambient temperature.
     pub fn ambient(&self) -> Celsius {
         Celsius::new(self.ambient_c)
@@ -461,10 +455,10 @@ mod tests {
         std::fs::write(&path, b"{ not json").unwrap();
         let r = ThermalResponse::load_or_compute(&dir, &built, grid).unwrap();
         let fresh = ThermalResponse::compute(&built, grid).unwrap();
-        assert!(r.proc_response_eq(&fresh));
+        assert!(r.proc_response == fresh.proc_response);
         let stored: ThermalResponse =
             serde_json::from_slice(&std::fs::read(&path).unwrap()).expect("rewritten");
-        assert!(stored.proc_response_eq(&fresh));
+        assert!(stored.proc_response == fresh.proc_response);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -144,20 +144,6 @@ impl SensorModel {
         }
     }
 
-    /// An ideal array: one sensor per given site, no quantization,
-    /// noise, or latency — useful to isolate fault effects in tests.
-    #[must_use]
-    pub fn ideal(sites: Vec<SensorSite>, seed: u64) -> Self {
-        SensorModel {
-            sites,
-            quantization_c: 0.0,
-            noise_sigma_c: 0.0,
-            latency_steps: 0,
-            seed,
-            plausible_max_c: DEFAULT_PLAUSIBLE_MAX_C,
-        }
-    }
-
     /// Validates the model against a grid of `nx` by `ny` cells.
     ///
     /// # Errors
@@ -338,6 +324,22 @@ impl SensorArray {
             value_c: if used > 0 { best } else { 0.0 },
             valid: used > 0,
             used,
+        }
+    }
+}
+
+#[cfg(test)]
+impl SensorModel {
+    /// An ideal array: one sensor per given site, no quantization,
+    /// noise, or latency — isolates fault effects in tests.
+    pub(crate) fn ideal(sites: Vec<SensorSite>, seed: u64) -> Self {
+        SensorModel {
+            sites,
+            quantization_c: 0.0,
+            noise_sigma_c: 0.0,
+            latency_steps: 0,
+            seed,
+            plausible_max_c: DEFAULT_PLAUSIBLE_MAX_C,
         }
     }
 }

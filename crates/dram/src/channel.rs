@@ -108,16 +108,6 @@ impl ChannelStats {
             self.total_latency_ns / n as f64
         }
     }
-
-    /// Row-buffer hit rate (0 if no requests).
-    pub fn hit_rate(&self) -> f64 {
-        let n = self.reads + self.writes;
-        if n == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / n as f64
-        }
-    }
 }
 
 /// One Wide I/O channel: 4 ranks x 4 banks behind a shared data bus.
@@ -212,17 +202,6 @@ impl Channel {
     pub fn timing(&self) -> &WideIoTiming {
         &self.timing
     }
-
-    /// The currently open row of `(rank, bank)`, if any — what an
-    /// FR-FCFS scheduler inspects to find row hits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if rank/bank are out of range.
-    pub fn open_row(&self, rank: usize, bank: usize) -> Option<u64> {
-        assert!(rank < 4 && bank < 4);
-        self.banks[rank * 4 + bank].open_row
-    }
 }
 
 /// The full 4-channel Wide I/O stack.
@@ -271,12 +250,6 @@ impl WideIoStack {
         }
         out
     }
-
-    /// Peak bandwidth of the stack, bytes/ns (= GB/s): 64 bytes per burst
-    /// slot per channel.
-    pub fn peak_bandwidth_gbps(&self) -> f64 {
-        4.0 * 64.0 / self.channels[0].timing().t_burst
-    }
 }
 
 #[cfg(test)]
@@ -321,7 +294,7 @@ mod tests {
         // Different row, same bank -> conflict.
         let (d3, o3) = s.access(read_at(1 << 12, d2));
         assert_eq!(o3, RowBufferOutcome::Conflict);
-        assert!(d3 - d2 >= t.conflict_latency() - 1e-9);
+        assert!(d3 - d2 >= t.t_rp + t.closed_latency() - 1e-9);
     }
 
     #[test]
@@ -386,10 +359,10 @@ mod tests {
 
     #[test]
     fn peak_bandwidth_is_paper_rate() {
-        let s = WideIoStack::paper_default();
+        let t = WideIoTiming::paper_default();
         // 4 channels x 64 B / 2.5 ns = 102.4 GB/s burst peak; the sustained
         // paper rate (51.2 GB/s) is half of burst peak.
-        let bw = s.peak_bandwidth_gbps();
+        let bw = 4.0 * 64.0 / t.t_burst;
         assert!((bw - 102.4).abs() < 0.1, "{bw}");
     }
 

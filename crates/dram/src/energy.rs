@@ -73,22 +73,6 @@ impl DramEnergyModel {
             + self.background_power
             + self.refresh_power(temp_c)
     }
-
-    /// Total stack power, W.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_dies == 0`.
-    pub fn stack_power(
-        &self,
-        read_rate: f64,
-        write_rate: f64,
-        activate_rate: f64,
-        temp_c: f64,
-        n_dies: usize,
-    ) -> f64 {
-        self.die_power(read_rate, write_rate, activate_rate, temp_c, n_dies) * n_dies as f64
-    }
 }
 
 #[cfg(test)]
@@ -100,10 +84,10 @@ mod tests {
         let m = DramEnergyModel::paper_default();
         // Memory-bound: ~50% of 51.2 GB/s -> 400M accesses/s, 40% miss
         // activates.
-        let hot = m.stack_power(300e6, 100e6, 160e6, 85.0, 8);
+        let hot = 8.0 * m.die_power(300e6, 100e6, 160e6, 85.0, 8);
         assert!((3.5..5.0).contains(&hot), "memory-bound stack {hot} W");
         // Compute-bound: ~5% utilization.
-        let cold = m.stack_power(30e6, 10e6, 16e6, 75.0, 8);
+        let cold = 8.0 * m.die_power(30e6, 10e6, 16e6, 75.0, 8);
         assert!((1.5..2.6).contains(&cold), "compute-bound stack {cold} W");
     }
 
@@ -120,9 +104,10 @@ mod tests {
     #[test]
     fn die_power_splits_dynamic_evenly() {
         let m = DramEnergyModel::paper_default();
-        let total = m.stack_power(100e6, 50e6, 60e6, 80.0, 8);
         let die = m.die_power(100e6, 50e6, 60e6, 80.0, 8);
-        assert!((total - 8.0 * die).abs() < 1e-9);
+        let per_die_static = m.background_power + m.refresh_power(80.0);
+        let dynamic = m.dynamic_power(100e6, 50e6, 60e6);
+        assert!((8.0 * die - (dynamic + 8.0 * per_die_static)).abs() < 1e-9);
     }
 
     #[test]

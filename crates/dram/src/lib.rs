@@ -19,10 +19,8 @@
 
 pub mod channel;
 pub mod energy;
-pub mod scheduler;
 pub mod timing;
 
 pub use channel::{Channel, MemoryRequest, RequestKind, WideIoStack};
 pub use energy::DramEnergyModel;
-pub use scheduler::{FrFcfsScheduler, SchedulerConfig};
 pub use timing::{refresh_interval_ms, WideIoTiming};

@@ -53,7 +53,6 @@ proptest! {
         prop_assert_eq!(s.row_hits + s.closed_misses + s.conflicts, total);
         prop_assert_eq!(s.activates, s.closed_misses + s.conflicts);
         prop_assert!(s.mean_latency_ns() > 0.0);
-        prop_assert!(s.hit_rate() <= 1.0);
     }
 
     /// The data bus never overlaps bursts: total bus-busy time fits in

@@ -5,8 +5,8 @@
 //! the token stream: `use` imports, function spans, unit-newtype
 //! bindings, float-accumulator locals, and the file's determinism-zone
 //! classification (*hot-path* / *instrumented* / *free*). Pass 2
-//! ([`rules`]) runs nine rules, five token-local and four
-//! dataflow-aware:
+//! ([`rules`]) runs ten rules: five token-local, four dataflow-aware,
+//! and one workspace-wide:
 //!
 //! 1. **`f64-param`** — public API functions of `xylem-thermal`,
 //!    `xylem-power`, and `xylem-core` must not take a raw `f64` where the
@@ -37,6 +37,10 @@
 //!    outside `units.rs` and the material tables; use `.get()`.
 //! 9. **`obs-coverage`** — instrumented-module functions with a
 //!    fallback/degradation branch must reference the `xylem-obs` sink.
+//! 10. **`no-uncalled-pub`** — a `pub` item in a crate's `src/` must be
+//!     named by program code (crate sources, benches, examples,
+//!     `perfbench/src`); tests, comments and `use` re-exports are not
+//!     callers ([`analyze_workspace`]).
 //!
 //! Two workspace-root files tune the verdict, sharing one format (one
 //! `<rule> <path-suffix> <symbol>` entry per line, `#` comments, symbol
@@ -292,6 +296,21 @@ pub fn analyze_source(relpath: &str, src: &str) -> Vec<Diagnostic> {
     out
 }
 
+/// Runs the workspace-wide rule (`no-uncalled-pub`) over in-memory
+/// `(relpath, src)` pairs and returns its *raw* findings. Pure and total
+/// like [`analyze_source`]: a file that does not lex defines and calls
+/// nothing here (its `lex` finding comes from [`analyze_source`]).
+#[must_use]
+pub fn analyze_workspace(files: &[(&str, &str)]) -> Vec<Diagnostic> {
+    let lexed: Vec<(&str, Vec<lexer::Tok>)> = files
+        .iter()
+        .filter_map(|&(relpath, src)| Some((relpath, lexer::lex(src).ok()?)))
+        .collect();
+    let mut out = Vec::new();
+    rules::check_uncalled_pub(&lexed, &mut out);
+    out
+}
+
 /// Runs every rule over one source file and filters through `allow`.
 #[must_use]
 pub fn check_source(relpath: &str, src: &str, allow: &Allowlist) -> Vec<Diagnostic> {
@@ -381,21 +400,30 @@ pub fn audit_workspace(root: &Path) -> Result<WorkspaceReport, String> {
     let mut report = WorkspaceReport::default();
     let mut allow_used = vec![false; allow.entries.len()];
     let mut baseline_used = vec![false; baseline.entries.len()];
+    let mut sources = Vec::new();
     for rel in collect_rust_files(root)? {
         let abs = root.join(&rel);
         let src = std::fs::read_to_string(&abs)
             .map_err(|e| format!("cannot read {}: {e}", abs.display()))?;
-        let relpath = rel.to_string_lossy().replace('\\', "/");
-        for d in analyze_source(&relpath, &src) {
-            if let Some(i) = allow.matching_entry(d.rule, &d.path, &d.symbol) {
-                allow_used[i] = true;
-                report.suppressed += 1;
-            } else if let Some(i) = baseline.matching_entry(d.rule, &d.path, &d.symbol) {
-                baseline_used[i] = true;
-                report.suppressed += 1;
-            } else {
-                report.findings.push(d);
-            }
+        sources.push((rel.to_string_lossy().replace('\\', "/"), src));
+    }
+    let pairs: Vec<(&str, &str)> = sources
+        .iter()
+        .map(|(relpath, src)| (relpath.as_str(), src.as_str()))
+        .collect();
+    let raw = pairs
+        .iter()
+        .flat_map(|&(relpath, src)| analyze_source(relpath, src))
+        .chain(analyze_workspace(&pairs));
+    for d in raw {
+        if let Some(i) = allow.matching_entry(d.rule, &d.path, &d.symbol) {
+            allow_used[i] = true;
+            report.suppressed += 1;
+        } else if let Some(i) = baseline.matching_entry(d.rule, &d.path, &d.symbol) {
+            baseline_used[i] = true;
+            report.suppressed += 1;
+        } else {
+            report.findings.push(d);
         }
     }
     for (list, used, file) in [

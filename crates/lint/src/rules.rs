@@ -1,4 +1,4 @@
-//! The nine lint rules, operating on the lexer's token stream (pass 2 of
+//! The ten lint rules, operating on the lexer's token stream (pass 2 of
 //! the two-pass analyzer; pass 1 is [`crate::symbols`]).
 //!
 //! Token-stream rules (no symbol table needed):
@@ -42,6 +42,12 @@
 //!   a fallback/degradation branch (an `Err(..)` handler arm, a
 //!   `*fallback*`/`*rollback*`/`*exhausted*`-family call) must also
 //!   reference the `xylem-obs` sink, so failure paths can never go dark.
+//!
+//! Workspace-wide rule (sees every file at once):
+//!
+//! * `no-uncalled-pub` — a `pub` item defined in a crate's `src/` that no
+//!   program code names. Names in tests, comments and `use`/`pub use`
+//!   declarations are not calls.
 
 use crate::lexer::{Tok, TokKind};
 use crate::symbols::{FileSymbols, UNIT_TYPES};
@@ -849,6 +855,178 @@ fn parse_float_literal(text: &str) -> Option<f64> {
 /// Computes the cfg(test) mask for a token stream (exposed for `lib.rs`).
 pub fn test_mask(toks: &[Tok]) -> Vec<bool> {
     cfg_test_mask(toks)
+}
+
+/// Keywords that introduce a named item; the identifier right after one
+/// is a definition site, never a reference.
+const ITEM_KEYWORDS: &[&str] = &["fn", "struct", "enum", "trait", "const", "static", "type"];
+
+/// Whether `relpath` holds program code whose names count as callers for
+/// `no-uncalled-pub`: a crate's `src/` (binaries included), `benches/`
+/// or `examples/`, the workspace `examples/`, or `perfbench/src/`. Code
+/// under any `tests/` directory is not a caller.
+fn is_caller_source(relpath: &str) -> bool {
+    if relpath.starts_with("tests/") || relpath.contains("/tests/") {
+        return false;
+    }
+    let in_crate = relpath.starts_with("crates/")
+        && ["/src/", "/benches/", "/examples/"]
+            .iter()
+            .any(|d| relpath.contains(d));
+    in_crate || relpath.starts_with("examples/") || relpath.starts_with("perfbench/src/")
+}
+
+/// Whether token `i` is the name of an item being defined (`fn name`,
+/// `struct Name`, ...).
+fn is_definition_name(toks: &[Tok], i: usize) -> bool {
+    i > 0 && ITEM_KEYWORDS.iter().any(|k| toks[i - 1].is_ident(k))
+}
+
+/// Marks every token of a `use` declaration (`use`, `pub use`, grouped or
+/// not) up to its `;`: importing or re-exporting a name is not a call.
+fn use_decl_mask(toks: &[Tok]) -> Vec<bool> {
+    let mut mask = vec![false; toks.len()];
+    let mut i = 0;
+    while i < toks.len() {
+        let stmt_pos = i == 0 || !(toks[i - 1].is_punct('.') || toks[i - 1].is_punct(':'));
+        if !(toks[i].is_ident("use") && stmt_pos) {
+            i += 1;
+            continue;
+        }
+        while i < toks.len() && !toks[i].is_punct(';') {
+            mask[i] = true;
+            i += 1;
+        }
+    }
+    mask
+}
+
+/// For each token, the self type of the innermost `impl` block around it
+/// (`Foo` for `impl Foo {..}` and for `impl<T> Trait for a::Foo<T> {..}`),
+/// header included: a type's own impl blocks naming it do not call it.
+fn impl_self_types(toks: &[Tok]) -> Vec<Option<&str>> {
+    let mut owner = vec![None; toks.len()];
+    for i in 0..toks.len() {
+        // An `impl` block starts an item; `impl Trait` in a type does not.
+        let item_pos = i == 0
+            || ['}', ';', ']', '{']
+                .iter()
+                .any(|&c| toks[i - 1].is_punct(c));
+        if !(toks[i].is_ident("impl") && item_pos) {
+            continue;
+        }
+        let (mut j, mut angle, mut self_ty, mut in_where) = (i + 1, 0i32, None, false);
+        while j < toks.len() && !(angle == 0 && (toks[j].is_punct('{') || toks[j].is_punct(';'))) {
+            let t = &toks[j];
+            if t.is_punct('<') {
+                angle += 1;
+            } else if t.is_punct('>') && !toks[j - 1].is_punct('-') {
+                angle -= 1;
+            } else if angle == 0 && t.is_ident("for") {
+                self_ty = None;
+            } else if angle == 0 && t.is_ident("where") {
+                in_where = true;
+            } else if angle == 0 && !in_where && t.kind == TokKind::Ident && !t.is_ident("dyn") {
+                self_ty = Some(t.text.as_str());
+            }
+            j += 1;
+        }
+        if !toks.get(j).is_some_and(|t| t.is_punct('{')) {
+            continue;
+        }
+        let mut depth = 0i32;
+        let mut end = j;
+        while end < toks.len() {
+            if toks[end].is_punct('{') {
+                depth += 1;
+            } else if toks[end].is_punct('}') {
+                depth -= 1;
+                if depth == 0 {
+                    break;
+                }
+            }
+            end += 1;
+        }
+        for o in &mut owner[i..end.min(toks.len() - 1) + 1] {
+            *o = self_ty;
+        }
+    }
+    owner
+}
+
+/// The `pub` items a file defines outside its test code: `(name, line)`
+/// of each `pub` `fn` (`pub const fn` included), `struct`, `enum`,
+/// `trait`, `const`, `static` or `type`. Restricted visibility
+/// (`pub(crate)`) is rustc's `dead_code` lint's business, not this rule's.
+fn pub_items<'t>(toks: &'t [Tok], mask: &[bool]) -> Vec<(&'t str, u32)> {
+    let mut out = Vec::new();
+    for i in 0..toks.len() {
+        if mask[i] || !toks[i].is_ident("pub") {
+            continue;
+        }
+        let const_fn = toks.get(i + 1).is_some_and(|t| t.is_ident("const"))
+            && toks.get(i + 2).is_some_and(|t| t.is_ident("fn"));
+        let kw = i + 1 + usize::from(const_fn);
+        let is_item = toks
+            .get(kw)
+            .is_some_and(|t| ITEM_KEYWORDS.iter().any(|k| t.is_ident(k)));
+        if let Some(name) = toks
+            .get(kw + 1)
+            .filter(|t| is_item && t.kind == TokKind::Ident)
+        {
+            out.push((name.text.as_str(), name.line));
+        }
+    }
+    out
+}
+
+/// Rule `no-uncalled-pub` (workspace-wide): a `pub` item defined in a
+/// crate's `src/` that no identifier in caller code names. A name counts
+/// only outside test code, outside `use`/`pub use` declarations (a
+/// re-export is not a call), off definition sites and outside the named
+/// type's own `impl` blocks; comments never reach the token stream.
+/// `files` holds each file's path and tokens.
+pub fn check_uncalled_pub(files: &[(&str, Vec<Tok>)], out: &mut Vec<Diagnostic>) {
+    let masks: Vec<Vec<bool>> = files.iter().map(|(_, toks)| cfg_test_mask(toks)).collect();
+    let mut called = std::collections::BTreeSet::new();
+    for ((relpath, toks), mask) in files.iter().zip(&masks) {
+        if !is_caller_source(relpath) {
+            continue;
+        }
+        let (uses, owner) = (use_decl_mask(toks), impl_self_types(toks));
+        for (i, t) in toks.iter().enumerate() {
+            let reference = t.kind == TokKind::Ident
+                && !mask[i]
+                && !uses[i]
+                && owner[i] != Some(t.text.as_str())
+                && !is_definition_name(toks, i);
+            if reference {
+                called.insert(t.text.as_str());
+            }
+        }
+    }
+    for ((relpath, toks), mask) in files.iter().zip(&masks) {
+        let in_crate_src =
+            relpath.starts_with("crates/") && relpath.split('/').nth(2) == Some("src");
+        if !in_crate_src {
+            continue;
+        }
+        for (name, line) in pub_items(toks, mask) {
+            if !called.contains(name) {
+                out.push(Diagnostic {
+                    rule: "no-uncalled-pub",
+                    path: (*relpath).to_string(),
+                    line,
+                    symbol: name.to_string(),
+                    message: format!(
+                        "`pub` item `{name}` has no caller outside tests, comments and `use` \
+                         declarations; delete it, move it into `#[cfg(test)]`, or allow it \
+                         with a reason"
+                    ),
+                });
+            }
+        }
+    }
 }
 
 #[cfg(test)]

@@ -193,13 +193,6 @@ impl FileSymbols {
             .filter(|f| f.body.contains(&idx))
             .min_by_key(|f| f.body.len())
     }
-
-    /// Whether the file imports `leaf` from a path containing `segment`
-    /// (e.g. leaf `HashMap` from a path containing `collections`).
-    #[must_use]
-    pub fn imports_leaf(&self, leaf: &str) -> bool {
-        self.imports.iter().any(|i| i.leaf == leaf)
-    }
 }
 
 /// Collects `use` statements, flattening one level of `{...}` groups.
@@ -562,10 +555,8 @@ mod tests {
              use std::collections::HashSet as FastSet;\n\
              use crate::units::Celsius;\n",
         );
-        assert!(s.imports_leaf("HashMap"));
-        assert!(s.imports_leaf("BTreeMap"));
-        assert!(s.imports_leaf("FastSet"));
-        assert!(s.imports_leaf("Celsius"));
+        let leaves: Vec<&str> = s.imports.iter().map(|i| i.leaf.as_str()).collect();
+        assert_eq!(leaves, ["HashMap", "BTreeMap", "FastSet", "Celsius"]);
         let hm = s
             .imports
             .iter()

@@ -31,7 +31,9 @@ fn run_lint(root: &Path) -> (i32, String) {
     run_lint_args(root, &[])
 }
 
-/// Writes a minimal fixture workspace containing one library file.
+/// Writes a minimal fixture workspace containing one library file. A
+/// fixture whose `pub` item must not trip `no-uncalled-pub` calls it
+/// from a private function in the same file.
 fn write_fixture(dir: &Path, relfile: &str, src: &str) {
     std::fs::create_dir_all(dir.join(relfile).parent().expect("file has parent"))
         .expect("fixture dirs create");
@@ -110,7 +112,8 @@ fn allowlist_suppresses_fixture_finding() {
     write_fixture(
         &dir,
         "crates/thermal/src/regress.rs",
-        "pub fn set_hotspot(hotspot_c: f64) -> f64 {\n    hotspot_c\n}\n",
+        "pub fn set_hotspot(hotspot_c: f64) -> f64 {\n    hotspot_c\n}\n\n\
+         fn caller() -> f64 {\n    set_hotspot(1.0)\n}\n",
     );
     std::fs::write(
         dir.join("xylem-lint.allow"),
@@ -166,7 +169,7 @@ fn stale_allow_entry_fails_unless_escaped() {
     write_fixture(
         &dir,
         "crates/stack/src/clean.rs",
-        "pub fn layers() -> usize {\n    4\n}\n",
+        "pub fn layers() -> usize {\n    4\n}\n\nfn caller() -> usize {\n    layers()\n}\n",
     );
     std::fs::write(
         dir.join("xylem-lint.allow"),
@@ -197,7 +200,7 @@ fn stale_baseline_entry_fails() {
     write_fixture(
         &dir,
         "crates/stack/src/clean.rs",
-        "pub fn layers() -> usize {\n    4\n}\n",
+        "pub fn layers() -> usize {\n    4\n}\n\nfn caller() -> usize {\n    layers()\n}\n",
     );
     std::fs::write(
         dir.join("xylem-lint.baseline"),
@@ -222,6 +225,10 @@ fn baseline_pins_old_finding_but_new_finding_fails() {
         "        acc += v * v;\n",
         "    }\n",
         "    acc\n",
+        "}\n",
+        "\n",
+        "fn caller(r: &[f64]) -> f64 {\n",
+        "    residual(r) + total(r)\n",
         "}\n",
     );
     write_fixture(&dir, "crates/thermal/src/solve.rs", src);
@@ -258,7 +265,8 @@ fn json_mode_emits_schema_locked_jsonl() {
     write_fixture(
         &dir,
         "crates/thermal/src/solve.rs",
-        "use std::collections::HashMap;\n\npub fn cache() -> usize {\n    0\n}\n",
+        "use std::collections::HashMap;\n\npub fn cache() -> usize {\n    0\n}\n\n\
+         fn caller() -> usize {\n    cache()\n}\n",
     );
     std::fs::write(
         dir.join("xylem-lint.baseline"),

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use xylem_lint::lexer::lex;
-use xylem_lint::{analyze_source, check_source, collect_rust_files, Allowlist};
+use xylem_lint::{analyze_source, analyze_workspace, check_source, collect_rust_files, Allowlist};
 
 #[test]
 fn every_workspace_file_lexes() {
@@ -36,8 +36,8 @@ fn every_workspace_file_lexes() {
 const ALPHABET: &[u8] = b"abr#\"'\\/*.0123456789eE_<>(){}!,:; \n-+xf=&|";
 
 /// Vocabulary biased toward the symbol-table pass: fn/let/use skeletons,
-/// unit newtypes, collection names, degradation markers, and the
-/// operators the cross-token rules look for. Random sequences of these
+/// item and `impl` headers, unit newtypes, collection names, degradation
+/// markers, and the operators the cross-token rules look for. Random sequences of these
 /// produce almost-plausible Rust that stresses pass 1 + pass 2 far more
 /// densely than raw byte soup.
 const VOCAB: &[&str] = &[
@@ -46,6 +46,14 @@ const VOCAB: &[&str] = &[
     "mut",
     "use",
     "pub",
+    "impl",
+    "struct",
+    "static",
+    "const",
+    "type",
+    "where",
+    "cfg",
+    "test",
     "match",
     "if",
     "while",
@@ -75,6 +83,8 @@ const VOCAB: &[&str] = &[
     "}",
     "<",
     ">",
+    "[",
+    "]",
     "::",
     ":",
     ";",
@@ -102,7 +112,25 @@ const MOUNTS: &[&str] = &[
     "crates/thermal/src/units.rs",  // unit-escape exempt
     "crates/stack/src/builder.rs",  // free-zone library
     "crates/bench/src/main.rs",     // binary crate
+    "examples/demo.rs",             // caller only, for no-uncalled-pub
+    "perfbench/src/main.rs",        // caller only
+    "crates/core/tests/it.rs",      // neither defines nor calls
 ];
+
+/// Mounts the `(soup, mount)` pairs as one workspace and checks the
+/// workspace-wide rule's findings.
+fn check_workspace(files: &[(String, usize)]) -> Result<(), String> {
+    let pairs: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(src, mount)| (MOUNTS[*mount], src.as_str()))
+        .collect();
+    for d in analyze_workspace(&pairs) {
+        prop_assert_eq!(d.rule, "no-uncalled-pub");
+        prop_assert!(d.line >= 1);
+        prop_assert!(!d.symbol.is_empty());
+    }
+    Ok(())
+}
 
 fn to_source(bytes: &[u8]) -> String {
     bytes
@@ -179,5 +207,29 @@ proptest! {
             prop_assert!(d.line >= 1);
             prop_assert!(!d.symbol.is_empty() || d.rule == "lex");
         }
+    }
+
+    // The workspace-wide rule is total too: several soup files mounted
+    // across definition, caller and test paths never panic it.
+    #[test]
+    fn workspace_analyzer_total_on_byte_soup(
+        files in collection::vec((collection::vec(any::<u8>(), 0..120), 0..MOUNTS.len()), 0..5),
+    ) {
+        let files: Vec<(String, usize)> =
+            files.iter().map(|(bytes, mount)| (to_source(bytes), *mount)).collect();
+        check_workspace(&files)?;
+    }
+
+    #[test]
+    fn workspace_analyzer_total_on_keyword_soup(
+        files in collection::vec((collection::vec(0..VOCAB.len(), 0..80), 0..MOUNTS.len()), 0..5),
+    ) {
+        let files: Vec<(String, usize)> = files
+            .iter()
+            .map(|(words, mount)| {
+                (words.iter().flat_map(|&w| [VOCAB[w], " "]).collect(), *mount)
+            })
+            .collect();
+        check_workspace(&files)?;
     }
 }

@@ -1,13 +1,14 @@
-//! Fixture-corpus tests for the four dataflow-aware rules: each rule has
-//! a positive, a negative, and an allowlisted fixture file under
-//! `tests/fixtures/<rule>/`. The fixtures live inside `crates/lint/`
-//! (where every path-scoped rule is inert), and the tests mount their
-//! content at an in-zone workspace path via the pure `analyze_source` /
-//! `check_source` API.
+//! Fixture-corpus tests for the four dataflow-aware rules and the
+//! workspace-wide `no-uncalled-pub`: each rule has a positive, a
+//! negative, and an allowlisted fixture file under `tests/fixtures/<rule>/`.
+//! The fixtures live inside `crates/lint/` (where every path-scoped rule
+//! is inert), and the tests mount their content at an in-zone workspace
+//! path via the pure `analyze_source` / `check_source` /
+//! `analyze_workspace` API.
 
 use std::path::Path;
 
-use xylem_lint::{analyze_source, check_source, Allowlist, Diagnostic};
+use xylem_lint::{analyze_source, analyze_workspace, check_source, Allowlist, Diagnostic};
 
 /// Reads `tests/fixtures/<rule_dir>/<name>.rs`.
 fn fixture(rule_dir: &str, name: &str) -> String {
@@ -424,6 +425,109 @@ fn scenario_zone_positive_fixture_is_inert_outside_the_zone() {
     }
 }
 
+// ---- no-uncalled-pub (workspace-wide) ----------------------------
+
+const UNCALLED: &str = "no-uncalled-pub";
+const CRATE_ROOT: &str = "crates/demo/src/lib.rs";
+
+fn uncalled_symbols(files: &[(&str, &str)]) -> Vec<String> {
+    analyze_workspace(files)
+        .into_iter()
+        .map(|d| {
+            assert_eq!(d.rule, UNCALLED, "{d:?}");
+            d.symbol
+        })
+        .collect()
+}
+
+#[test]
+fn uncalled_pub_positive_fixture_fires() {
+    // Own `#[cfg(test)]` module, a file under `tests/`, a comment, a
+    // `pub use` and the type's own impl block: none of them is a call.
+    let pos = fixture("no_uncalled_pub", "pos");
+    let integration =
+        "#[test]\nfn it() {\n    assert_eq!(demo::engine::only_integration_tested(), 2);\n}\n";
+    let symbols = uncalled_symbols(&[(CRATE_ROOT, &pos), ("crates/demo/tests/it.rs", integration)]);
+    assert_eq!(
+        symbols,
+        [
+            "only_unit_tested",
+            "only_integration_tested",
+            "only_commented",
+            "only_reexported",
+            "OnlySelfNamed",
+        ]
+    );
+}
+
+#[test]
+fn uncalled_pub_negative_fixture_is_clean() {
+    let neg = fixture("no_uncalled_pub", "neg");
+    let files = [
+        (CRATE_ROOT, neg.as_str()),
+        (
+            "crates/other/src/lib.rs",
+            "fn run() -> u32 {\n    demo::called_from_another_crate()\n}\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() {\n    let _ = demo::called_from_an_example();\n}\n",
+        ),
+        (
+            "perfbench/src/main.rs",
+            "fn main() {\n    let _ = demo::called_from_perfbench();\n}\n",
+        ),
+        (
+            "crates/demo/benches/b.rs",
+            "fn main() {\n    let _ = demo::NamedInABench;\n}\n",
+        ),
+    ];
+    assert_eq!(uncalled_symbols(&files), Vec::<String>::new());
+    // Without its callers, every item but the one called in its own file
+    // is uncalled.
+    assert_eq!(
+        uncalled_symbols(&files[..1]),
+        [
+            "called_from_another_crate",
+            "called_from_an_example",
+            "called_from_perfbench",
+            "NamedInABench",
+        ]
+    );
+}
+
+#[test]
+fn uncalled_pub_allowed_fixture_suppressed_by_entry() {
+    let src = fixture("no_uncalled_pub", "allowed");
+    let raw = analyze_workspace(&[(CRATE_ROOT, &src)]);
+    assert_eq!(raw.len(), 1, "fires raw: {raw:?}");
+    let allow = Allowlist::parse("no-uncalled-pub demo/src/lib.rs kept_for_integration_tests\n")
+        .expect("entry parses");
+    assert!(raw
+        .iter()
+        .all(|d| allow.permits(d.rule, &d.path, &d.symbol)));
+}
+
+#[test]
+fn uncalled_pub_fixtures_are_inert_at_their_real_path() {
+    // Under `crates/lint/tests/` the fixtures neither define items the
+    // rule audits nor call anything.
+    let files: Vec<(String, String)> = ["pos", "neg", "allowed"]
+        .iter()
+        .map(|name| {
+            (
+                format!("crates/lint/tests/fixtures/no_uncalled_pub/{name}.rs"),
+                fixture("no_uncalled_pub", name),
+            )
+        })
+        .collect();
+    let pairs: Vec<(&str, &str)> = files
+        .iter()
+        .map(|(p, s)| (p.as_str(), s.as_str()))
+        .collect();
+    assert!(analyze_workspace(&pairs).is_empty());
+}
+
 // ---- corpus hygiene ----------------------------------------------
 
 #[test]
@@ -436,6 +540,7 @@ fn fixture_corpus_is_inert_at_its_real_path() {
         "no_raw_accumulation",
         "no_unit_escape",
         "obs_coverage",
+        "no_uncalled_pub",
     ] {
         for name in ["pos", "neg", "allowed"] {
             let src = fixture(dir, name);

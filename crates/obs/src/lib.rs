@@ -39,8 +39,8 @@ pub mod span;
 pub use event::{event, Event};
 pub use hash::fnv1a;
 pub use metrics::{
-    add, counter, counters_snapshot, gauge, gauges_snapshot, incr, record_ns, reset_metrics,
-    set_gauge, summarize, Counter, Gauge, Hist, HistSummary,
+    add, counter, counters_snapshot, gauge, gauges_snapshot, incr, record_ns, set_gauge, summarize,
+    Counter, Gauge, Hist, HistSummary,
 };
 pub use report::{RunManifest, RunReport};
 pub use sink::{

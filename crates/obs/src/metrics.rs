@@ -4,8 +4,8 @@
 //! Everything here is lock-free (`AtomicU64` with relaxed ordering) so
 //! the hot solver and DTM paths can record unconditionally: an increment
 //! costs a handful of nanoseconds whether or not a sink is installed.
-//! Counters are monotonic by construction — the only mutating operations
-//! are `add` and the test-only [`reset_metrics`].
+//! Counters are monotonic by construction — the only mutating operation
+//! is `add`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -337,25 +337,6 @@ pub fn gauges_snapshot() -> Vec<(&'static str, f64)> {
         .iter()
         .filter_map(|&g| gauge(g).map(|v| (g.label(), v)))
         .collect()
-}
-
-/// Zeroes all counters, gauges, and histograms. Test/bench support only:
-/// metrics are process-global, so concurrent recorders will race a reset.
-pub fn reset_metrics() {
-    for c in &COUNTERS {
-        c.store(0, Ordering::Relaxed);
-    }
-    for g in &GAUGES {
-        g.store(GAUGE_UNSET, Ordering::Relaxed);
-    }
-    for h in &HISTS {
-        for b in &h.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        h.count.store(0, Ordering::Relaxed);
-        h.sum_ns.store(0, Ordering::Relaxed);
-        h.max_ns.store(0, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]

@@ -483,4 +483,39 @@ output :
         });
         assert_eq!(out, SliceOutcome::DeadlineMiss);
     }
+
+    #[test]
+    fn throttle_ladder_climbs_and_releases() {
+        // 20x the scenario's power trips 60 C on the first frames; each
+        // level derates power by 0.2 until the hotspot falls 2 C below
+        // the trip, which releases one level.
+        let mut registry = ModelRegistry::new();
+        let spec = SessionSpec {
+            steps: 20,
+            dt_s: 1e-2,
+            power_scale: 20.0,
+            trip_c: Some(60.0),
+            ..spec(&mut registry)
+        };
+        let shared = registry.acquire(spec.source_key).expect("discretizes");
+        let mut state = SessionState::fresh(&spec);
+        let mut levels = Vec::new();
+        while !state.is_complete(&spec) {
+            match run_slice(&SliceRequest {
+                shared: Arc::clone(&shared),
+                spec: spec.clone(),
+                state: state.clone(),
+                chaos: None,
+            }) {
+                SliceOutcome::Advanced { state: s, frame } => {
+                    levels.push(frame.level);
+                    state = s;
+                }
+                other => panic!("unexpected outcome {other:?}"),
+            }
+        }
+        assert_eq!(levels, [0, 1, 2, 3, 3, 2, 3, 2, 3, 3]);
+        assert_eq!(state.level, 2);
+        assert_eq!(format!("{:016x}", state.chain), "141570677de48a70");
+    }
 }

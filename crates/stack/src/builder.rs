@@ -102,13 +102,6 @@ impl StackConfig {
         }
     }
 
-    /// Whether the ITRS electrical TSV (10 um Cu, 10:1 aspect ratio) can
-    /// traverse dies of the configured thickness. The Fig. 18 sensitivity
-    /// sweep deliberately violates this at 200 um.
-    pub fn electrical_tsv_feasible(&self) -> bool {
-        TsvTech::electrical().supports_die_thickness(self.die_thickness)
-    }
-
     /// Builds the stack: creates all layers, paints TTSV and pillar
     /// patches per the scheme, and records layer-role metadata.
     ///
@@ -509,11 +502,15 @@ mod tests {
 
     #[test]
     fn tsv_feasibility_flags_thick_dies() {
+        // The ITRS electrical TSV (10 um Cu, 10:1 aspect ratio) cannot
+        // traverse the Fig. 18 sweep's 200 um dies.
+        let feasible =
+            |c: &StackConfig| TsvTech::electrical().supports_die_thickness(c.die_thickness);
         let mut c = StackConfig::paper_default(XylemScheme::Base);
-        assert!(c.electrical_tsv_feasible());
+        assert!(feasible(&c));
         c.die_thickness = 200e-6;
-        assert!(!c.electrical_tsv_feasible());
+        assert!(!feasible(&c));
         c.die_thickness = 50e-6;
-        assert!(c.electrical_tsv_feasible());
+        assert!(feasible(&c));
     }
 }

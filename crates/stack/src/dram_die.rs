@@ -80,14 +80,6 @@ impl DramDieGeometry {
         Rect::new(x, y, bw, bh)
     }
 
-    /// Wide I/O channel (quadrant) of bank `(row, col)`: 0 = lower-left,
-    /// 1 = lower-right, 2 = upper-left, 3 = upper-right.
-    pub fn channel_of_bank(&self, row: usize, col: usize) -> usize {
-        let upper = usize::from(row >= 2);
-        let right = usize::from(col >= 2);
-        upper * 2 + right
-    }
-
     /// Canonical name of bank `(row, col)`: `"bank{row}{col}"`.
     pub fn bank_name(row: usize, col: usize) -> String {
         format!("bank{row}{col}")
@@ -267,23 +259,6 @@ mod tests {
             for col in 0..4 {
                 assert!(!g.bank_rect(row, col).overlaps(&stripe));
             }
-        }
-    }
-
-    #[test]
-    fn channels_are_quadrants() {
-        let g = DramDieGeometry::paper_default();
-        assert_eq!(g.channel_of_bank(0, 0), 0);
-        assert_eq!(g.channel_of_bank(1, 3), 1);
-        assert_eq!(g.channel_of_bank(2, 1), 2);
-        assert_eq!(g.channel_of_bank(3, 3), 3);
-        // 4 banks per channel.
-        for ch in 0..4 {
-            let count = (0..4)
-                .flat_map(|r| (0..4).map(move |c| (r, c)))
-                .filter(|&(r, c)| g.channel_of_bank(r, c) == ch)
-                .count();
-            assert_eq!(count, 4);
         }
     }
 

@@ -282,10 +282,9 @@ mod tests {
             for row in 0..4 {
                 for col in 0..4 {
                     let b = g.bank_rect(row, col);
-                    assert!(
-                        !b.contains_point(site.x, site.y),
-                        "site {site:?} inside bank {row}{col}"
-                    );
+                    let inside = (b.x()..=b.x_max()).contains(&site.x)
+                        && (b.y()..=b.y_max()).contains(&site.y);
+                    assert!(!inside, "site {site:?} inside bank {row}{col}");
                 }
             }
         }

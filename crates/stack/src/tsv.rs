@@ -1,4 +1,4 @@
-//! TSV / TTSV / microbump technology parameters (paper Sec. 2.1, 2.2, 6.1).
+//! TSV / TTSV technology parameters (paper Sec. 2.1, 6.1).
 //!
 //! Electrical TSVs follow ITRS: 10 um diameter, 10 um keep-out zone (KOZ),
 //! giving a 20 um pitch and a 25% Cu area fraction inside the TSV bus.
@@ -9,9 +9,6 @@ use serde::{Deserialize, Serialize};
 
 /// Copper aspect-ratio limit (height : diameter), paper Sec. 2.1.
 pub const CU_ASPECT_RATIO: f64 = 10.0;
-
-/// Tungsten aspect-ratio limit, paper Sec. 2.1.
-pub const W_ASPECT_RATIO: f64 = 30.0;
 
 /// Geometry of one TSV class.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -25,15 +22,6 @@ pub struct TsvTech {
 }
 
 impl TsvTech {
-    /// The paper's electrical TSV: 10 um Cu via, 10 um KOZ (20 um pitch).
-    pub fn electrical() -> Self {
-        TsvTech {
-            diameter: 10e-6,
-            koz: 10e-6,
-            aspect_ratio_limit: CU_ASPECT_RATIO,
-        }
-    }
-
     /// The paper's thermal TSV: 100 um Cu block, 10 um KOZ.
     pub fn thermal() -> Self {
         TsvTech {
@@ -43,12 +31,6 @@ impl TsvTech {
         }
     }
 
-    /// Pitch implied by the KOZ: diameter + KOZ (KOZs of neighboring vias
-    /// overlap), m.
-    pub fn pitch(&self) -> f64 {
-        self.diameter + self.koz
-    }
-
     /// Footprint of one via including its KOZ ring:
     /// `(diameter + 2*koz)^2`, m^2. For the paper's TTSV this is
     /// `(100 um + 20 um)^2 = 0.0144 mm^2` (Sec. 7.1).
@@ -56,21 +38,35 @@ impl TsvTech {
         let side = self.diameter + 2.0 * self.koz;
         side * side
     }
+}
 
-    /// Metal area fraction within a dense array at [`TsvTech::pitch`]:
-    /// `(d / pitch)^2`. The paper's electrical bus: `(10/20)^2 = 0.25`.
-    pub fn array_metal_fraction(&self) -> f64 {
-        let p = self.pitch();
-        (self.diameter / p) * (self.diameter / p)
+/// The Sec. 2.1 aspect-ratio argument, which only tests reproduce: the
+/// ITRS electrical TSV and the die thickness and via density its fill
+/// metal allows.
+#[cfg(test)]
+impl TsvTech {
+    /// The paper's electrical TSV: 10 um Cu via, 10 um KOZ (20 um pitch).
+    pub(crate) fn electrical() -> Self {
+        TsvTech {
+            diameter: 10e-6,
+            koz: 10e-6,
+            aspect_ratio_limit: CU_ASPECT_RATIO,
+        }
+    }
+
+    /// Pitch implied by the KOZ: diameter + KOZ (KOZs of neighboring vias
+    /// overlap), m.
+    pub(crate) fn pitch(&self) -> f64 {
+        self.diameter + self.koz
     }
 
     /// Tallest die (m) this via can traverse under its aspect-ratio limit.
-    pub fn max_die_thickness(&self) -> f64 {
+    pub(crate) fn max_die_thickness(&self) -> f64 {
         self.aspect_ratio_limit * self.diameter
     }
 
     /// Whether the via can traverse a die of the given thickness.
-    pub fn supports_die_thickness(&self, thickness: f64) -> bool {
+    pub(crate) fn supports_die_thickness(&self, thickness: f64) -> bool {
         thickness <= self.max_die_thickness() + 1e-12
     }
 
@@ -79,42 +75,10 @@ impl TsvTech {
     /// `thickness / AR`, so density is at most `1 / pitch^2` with
     /// `pitch = d_min + koz`. Density is proportional to `(AR/t)^2`
     /// (Sec. 2.1).
-    pub fn max_density_for_thickness(&self, thickness: f64) -> f64 {
+    pub(crate) fn max_density_for_thickness(&self, thickness: f64) -> f64 {
         let d_min = thickness / self.aspect_ratio_limit;
         let pitch = d_min + self.koz;
         1.0 / (pitch * pitch)
-    }
-}
-
-/// Microbump geometry (paper Sec. 2.2, 6.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct MicrobumpTech {
-    /// Bump side for the thermal model, m.
-    pub size: f64,
-    /// Bump (solder + pillar) height, m.
-    pub height: f64,
-    /// Area density of dummy bumps in a filled D2D layer (0..=1).
-    pub dummy_density: f64,
-}
-
-impl MicrobumpTech {
-    /// The paper's dummy microbump: 100 um block, 18 um tall, 25% density.
-    pub fn dummy() -> Self {
-        MicrobumpTech {
-            size: 100e-6,
-            height: 18e-6,
-            dummy_density: 0.25,
-        }
-    }
-
-    /// The paper's electrical microbump: ~17 um diameter, 50 um pitch
-    /// (Sec. 2.2), 18 um tall.
-    pub fn electrical() -> Self {
-        MicrobumpTech {
-            size: 17e-6,
-            height: 18e-6,
-            dummy_density: (17.0 / 50.0) * (17.0 / 50.0),
-        }
     }
 }
 
@@ -122,11 +86,13 @@ impl MicrobumpTech {
 mod tests {
     use super::*;
 
+    /// Tungsten aspect-ratio limit, paper Sec. 2.1.
+    const W_ASPECT_RATIO: f64 = 30.0;
+
     #[test]
     fn electrical_tsv_paper_numbers() {
         let t = TsvTech::electrical();
         assert_eq!(t.pitch(), 20e-6);
-        assert!((t.array_metal_fraction() - 0.25).abs() < 1e-12);
         // 10:1 Cu aspect ratio supports exactly the 100 um die.
         assert!(t.supports_die_thickness(100e-6));
         assert!(!t.supports_die_thickness(101e-6));
@@ -163,14 +129,5 @@ mod tests {
             ..TsvTech::electrical()
         };
         assert!(w.max_die_thickness() > TsvTech::electrical().max_die_thickness());
-    }
-
-    #[test]
-    fn dummy_bump_density() {
-        let b = MicrobumpTech::dummy();
-        assert_eq!(b.dummy_density, 0.25);
-        assert_eq!(b.height, 18e-6);
-        let e = MicrobumpTech::electrical();
-        assert!(e.dummy_density < 0.2);
     }
 }

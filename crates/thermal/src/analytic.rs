@@ -4,15 +4,15 @@
 //! the same size as the die) and power is applied uniformly over one layer,
 //! heat flow is purely vertical and the steady state has a closed form:
 //! every node sits at `T_amb + P * R(path from node to ambient)`.
-//! The validation tests compare the RC solver against these values.
+//! The validation tests compare the RC solver against these values; the
+//! module is compiled only for them.
 
-use crate::package::Package;
 use crate::stack::Stack;
 use crate::units::Watts;
 
 /// Temperature drop across a slab: `q * t / lambda` where `q` is the heat
 /// flux (W/m^2), `t` the thickness (m), `lambda` the conductivity (W/m-K).
-pub fn slab_delta_t(heat_flux: f64, thickness: f64, lambda: f64) -> f64 {
+fn slab_delta_t(heat_flux: f64, thickness: f64, lambda: f64) -> f64 {
     heat_flux * thickness / lambda
 }
 
@@ -20,24 +20,24 @@ pub fn slab_delta_t(heat_flux: f64, thickness: f64, lambda: f64) -> f64 {
 /// for a die of area `A` — the quantities behind the paper's Sec. 2.5
 /// analysis.
 #[derive(Debug, Clone, PartialEq)]
-pub struct OneDimensionalReport {
+struct OneDimensionalReport {
     /// Convection resistance (K/W).
-    pub convection: f64,
+    convection: f64,
     /// Sink conduction resistance (K/W), full thickness.
-    pub sink: f64,
+    sink: f64,
     /// Spreader conduction resistance (K/W), full thickness.
-    pub spreader: f64,
+    spreader: f64,
     /// TIM conduction resistance (K/W), full thickness.
-    pub tim: f64,
+    tim: f64,
     /// Per user layer, top to bottom: `(name, resistance K/W)` using the
     /// base material.
-    pub layers: Vec<(String, f64)>,
+    layers: Vec<(String, f64)>,
 }
 
 impl OneDimensionalReport {
     /// Computes the report for `stack`, treating every layer as its base
     /// material and using the die area for all conduction terms.
-    pub fn for_stack(stack: &Stack) -> Self {
+    fn for_stack(stack: &Stack) -> Self {
         let area = stack.width() * stack.height();
         let p = stack.package();
         OneDimensionalReport {
@@ -62,7 +62,7 @@ impl OneDimensionalReport {
     /// (K/W): convection + **half** the sink (the RC discretization is
     /// node-centered, and convection attaches at the sink node center) +
     /// spreader + TIM + all layers above + half of `layer` itself.
-    pub fn resistance_to_ambient(&self, layer: usize) -> f64 {
+    fn resistance_to_ambient(&self, layer: usize) -> f64 {
         let mut r = self.convection + self.sink / 2.0 + self.spreader + self.tim;
         for (i, (_, rl)) in self.layers.iter().enumerate() {
             if i < layer {
@@ -84,7 +84,7 @@ impl OneDimensionalReport {
 /// Heat flows only upward from the power layer; layers below it float at
 /// the power layer's upper-path temperature (no flux below means no
 /// gradient below).
-pub fn one_dimensional_temperatures(stack: &Stack, watts: Watts, power_layer: usize) -> Vec<f64> {
+fn one_dimensional_temperatures(stack: &Stack, watts: Watts, power_layer: usize) -> Vec<f64> {
     let report = OneDimensionalReport::for_stack(stack);
     let ambient = stack.package().ambient();
     let w = watts.get();
@@ -105,16 +105,6 @@ pub fn one_dimensional_temperatures(stack: &Stack, watts: Watts, power_layer: us
         .collect()
 }
 
-/// A package with **no lateral spreading** (sink and spreader exactly the
-/// die size) and no board path — the configuration the 1-D validation
-/// formulas assume.
-pub fn one_dimensional_package(die_width: f64, die_height: f64) -> Package {
-    // `default_for_die` then shrink. Package fields are private; rebuild via
-    // its builder-style methods is not possible for the sizes, so we expose
-    // this helper from the package module instead.
-    Package::one_dimensional(die_width, die_height)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -127,7 +117,7 @@ mod tests {
     fn one_d_stack() -> Stack {
         let die = 8e-3;
         Stack::builder(die, die)
-            .package(one_dimensional_package(die, die))
+            .package(crate::package::Package::one_dimensional(die, die))
             .layer(Layer::uniform("si-top", 100e-6, SILICON.clone()))
             .layer(Layer::uniform("d2d", 20e-6, D2D_AVERAGE.clone()))
             .layer(Layer::uniform("si-bot", 100e-6, SILICON.clone()))

@@ -47,11 +47,6 @@ impl Rect {
         }
     }
 
-    /// Creates a rectangle from its two opposite corners.
-    pub fn from_corners(x0: f64, y0: f64, x1: f64, y1: f64) -> Self {
-        Rect::new(x0.min(x1), y0.min(y1), (x1 - x0).abs(), (y1 - y0).abs())
-    }
-
     /// Lower-left x coordinate (m).
     pub fn x(&self) -> f64 {
         self.x
@@ -90,14 +85,6 @@ impl Rect {
     /// Center point (m, m).
     pub fn center(&self) -> (f64, f64) {
         (self.x + self.width / 2.0, self.y + self.height / 2.0)
-    }
-
-    /// Whether the point is inside (boundary-inclusive).
-    pub fn contains_point(&self, px: f64, py: f64) -> bool {
-        px >= self.x - GEOM_EPS
-            && px <= self.x_max() + GEOM_EPS
-            && py >= self.y - GEOM_EPS
-            && py <= self.y_max() + GEOM_EPS
     }
 
     /// Whether `other` lies entirely inside this rectangle (within
@@ -313,17 +300,6 @@ mod tests {
         assert_eq!(r.y_max(), 6.0);
         assert_eq!(r.area(), 12.0);
         assert_eq!(r.center(), (2.5, 4.0));
-        assert!(r.contains_point(2.0, 3.0));
-        assert!(!r.contains_point(0.0, 0.0));
-    }
-
-    #[test]
-    fn rect_from_corners_normalizes() {
-        let r = Rect::from_corners(3.0, 4.0, 1.0, 2.0);
-        assert_eq!(r.x(), 1.0);
-        assert_eq!(r.y(), 2.0);
-        assert_eq!(r.width(), 2.0);
-        assert_eq!(r.height(), 2.0);
     }
 
     #[test]

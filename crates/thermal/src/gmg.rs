@@ -481,12 +481,6 @@ impl GmgHierarchy {
         }
     }
 
-    /// Number of levels including the directly solved coarsest one.
-    #[must_use]
-    pub fn num_levels(&self) -> usize {
-        self.levels.len() + 1
-    }
-
     /// The Galerkin CSR the coarsest level factors, recomputed from
     /// `a` (the matrix the hierarchy was built from) through every
     /// level's aggregate map.
@@ -702,7 +696,7 @@ mod tests {
     fn small_grid_is_a_single_dense_level() {
         let a = stack_matrix(4, 4, 3);
         let h = GmgHierarchy::build(&a, 4, 4, 3).expect("build");
-        assert_eq!(h.num_levels(), 1);
+        assert!(h.levels.is_empty());
         let b: Vec<f64> = (0..a.n()).map(|i| (i as f64) * 0.1 + 1.0).collect();
         let mut z = vec![0.0; a.n()];
         let s = StencilOperator::from_csr(&a, 4, 4, 3).expect("stencil");
@@ -718,7 +712,7 @@ mod tests {
     fn coarsening_keeps_every_z_layer() {
         let a = stack_matrix(32, 32, 5);
         let h = GmgHierarchy::build(&a, 32, 32, 5).expect("build");
-        assert!(h.num_levels() >= 3, "expected real coarsening");
+        assert!(h.levels.len() >= 2, "expected real coarsening");
         for lvl in &h.levels {
             assert_eq!(lvl.grid_nodes, 5 * lvl.cells);
             assert_eq!(lvl.coarse.n() % 5, 0, "coarse level lost a layer");
@@ -732,7 +726,7 @@ mod tests {
         for (nx, ny, nl) in [(32, 32, 5), (33, 20, 4)] {
             let a = stack_matrix(nx, ny, nl);
             let h = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
-            assert!(h.num_levels() >= 3, "{nx}x{ny}: expected real coarsening");
+            assert!(h.levels.len() >= 2, "{nx}x{ny}: expected real coarsening");
             let mut cur = a;
             for (k, lvl) in h.levels.iter().enumerate() {
                 cur = galerkin(&cur, &lvl.agg, lvl.coarse.n());
@@ -801,7 +795,7 @@ mod tests {
         let (nx, ny, nl) = (24, 24, 7);
         let a = stack_matrix(nx, ny, nl);
         let h = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
-        assert!(h.num_levels() > 2);
+        assert!(h.levels.len() > 1);
         let n = a.n();
         let x_true: Vec<f64> = (0..n).map(|i| ((i as f64) * 0.013).sin()).collect();
         let mut b = vec![0.0; n];

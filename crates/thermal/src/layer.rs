@@ -174,12 +174,6 @@ impl Layer {
     pub fn patches(&self) -> &[MaterialPatch] {
         &self.patches
     }
-
-    /// Thermal resistance per unit area of the layer at a point covered only
-    /// by the base material: `t / lambda` (m^2-K/W).
-    pub fn base_rth_per_area(&self) -> f64 {
-        self.base.rth_per_area(self.thickness)
-    }
 }
 
 #[cfg(test)]
@@ -201,7 +195,7 @@ mod tests {
         let l = Layer::uniform("si", 100e-6, SILICON.clone());
         assert_eq!(l.thickness(), 100e-6);
         assert!(l.floorplan().is_none());
-        assert!((l.base_rth_per_area() * 1e6 - 0.8333).abs() < 1e-3);
+        assert!((l.base_material().rth_per_area(l.thickness()) * 1e6 - 0.8333).abs() < 1e-3);
     }
 
     #[test]

@@ -65,7 +65,8 @@
 #![warn(missing_debug_implementations)]
 
 pub mod adaptive;
-pub mod analytic;
+#[cfg(test)]
+mod analytic;
 pub mod csr;
 pub mod error;
 pub mod floorplan;

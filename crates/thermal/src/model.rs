@@ -421,20 +421,6 @@ impl ThermalModel {
         self.csr.n()
     }
 
-    /// Node index of cell `(ix, iy)` in user layer `layer`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the layer or coordinates are out of range (debug builds for
-    /// coordinates).
-    pub fn user_node(&self, layer: usize, ix: usize, iy: usize) -> usize {
-        assert!(
-            layer < self.n_user_layers,
-            "user layer {layer} out of range"
-        );
-        (3 + layer) * self.grid.cells() + self.grid.index(ix, iy)
-    }
-
     /// First node index of user layer `layer`.
     pub(crate) fn user_layer_base(&self, layer: usize) -> usize {
         (3 + layer) * self.grid.cells()
@@ -617,27 +603,7 @@ impl ThermalModel {
 
     /// Advances a transient simulation by `steps` backward-Euler steps of
     /// `dt` seconds under constant `power`, starting from `initial`, with
-    /// a throwaway workspace. Convenience wrapper over
-    /// [`ThermalModel::transient_with`]; control loops stepping every
-    /// period should hold a [`SolverWorkspace`] and call that instead.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::InvalidTimeStep`] for a bad `dt`; otherwise as
-    /// [`ThermalModel::steady_state`].
-    pub fn transient(
-        &self,
-        power: &PowerMap,
-        initial: &TemperatureField,
-        dt: f64,
-        steps: usize,
-    ) -> Result<TemperatureField, ThermalError> {
-        let mut ws = SolverWorkspace::new();
-        self.transient_with(power, initial, dt, steps, None, &mut ws)
-    }
-
-    /// Backward-Euler transient stepping with a caller-owned workspace
-    /// and an explicit CG warm-start policy.
+    /// a caller-owned workspace and an explicit CG warm-start policy.
     ///
     /// The `A + C/dt` operator and its preconditioner come from a small
     /// LRU cache keyed on `dt` (bitwise) and preconditioner kind, so
@@ -645,7 +611,7 @@ impl ThermalModel {
     /// factorization once, not per call.
     ///
     /// `guess` seeds the **first** step's CG iterate: `None` (the
-    /// default, and what [`ThermalModel::transient`] uses) starts from
+    /// default) starts from
     /// `initial` — the physically-warm choice, since the previous state
     /// is close to the next solution for any reasonable `dt`. Passing
     /// e.g. a uniform-ambient field instead forces a cold start, which
@@ -655,8 +621,10 @@ impl ThermalModel {
     ///
     /// # Errors
     ///
-    /// As [`ThermalModel::transient`]; additionally rejects a `guess`
-    /// whose node count does not match.
+    /// [`ThermalError::InvalidTimeStep`] for a bad `dt`; a
+    /// [`ThermalError::PowerMapMismatch`] for an `initial` or `guess` whose
+    /// node count does not match; otherwise as
+    /// [`ThermalModel::steady_state`].
     pub fn transient_with(
         &self,
         power: &PowerMap,
@@ -1212,7 +1180,9 @@ mod tests {
         let init = TemperatureField::uniform(&m, m.ambient());
         // Long integration: 3000 x 0.1 s = 300 s >> the sink's ~40 s time
         // constant (C_sink ~ 86 J/K times R_conv = 0.45 K/W).
-        let t = m.transient(&p, &init, 0.1, 3000).unwrap();
+        let t = m
+            .transient_with(&p, &init, 0.1, 3000, None, &mut SolverWorkspace::new())
+            .unwrap();
         let (_, hot_tr) = t.hotspot_of_layer(2);
         let (_, hot_ss) = steady.hotspot_of_layer(2);
         assert!(
@@ -1227,8 +1197,12 @@ mod tests {
         let mut p = PowerMap::zeros(&m);
         p.add_uniform_layer_power(2, Watts::new(12.0));
         let t0 = TemperatureField::uniform(&m, m.ambient());
-        let t1 = m.transient(&p, &t0, 1e-3, 10).unwrap();
-        let t2 = m.transient(&p, &t1, 1e-3, 10).unwrap();
+        let t1 = m
+            .transient_with(&p, &t0, 1e-3, 10, None, &mut SolverWorkspace::new())
+            .unwrap();
+        let t2 = m
+            .transient_with(&p, &t1, 1e-3, 10, None, &mut SolverWorkspace::new())
+            .unwrap();
         assert!(t1.hotspot_of_layer(2).1 > m.ambient());
         assert!(t2.hotspot_of_layer(2).1 > t1.hotspot_of_layer(2).1);
     }
@@ -1338,7 +1312,9 @@ mod tests {
             tolerance: 1e-12,
             ..*m.solver_options()
         });
-        let reference = m.transient(&p, &init, 1e-3, 5).unwrap();
+        let reference = m
+            .transient_with(&p, &init, 1e-3, 5, None, &mut SolverWorkspace::new())
+            .unwrap();
         assert!(
             reference.recovery().is_empty(),
             "healthy run needs no ladder"
@@ -1348,7 +1324,9 @@ mod tests {
             max_iterations: 2,
             ..*m.solver_options()
         });
-        let recovered = m.transient(&p, &init, 1e-3, 5).unwrap();
+        let recovered = m
+            .transient_with(&p, &init, 1e-3, 5, None, &mut SolverWorkspace::new())
+            .unwrap();
         let report = recovered.recovery();
         assert!(!report.is_empty(), "ladder should have fired");
         assert!(report.recoveries >= 1);
@@ -1385,7 +1363,11 @@ mod tests {
         let m = model(4);
         let p = PowerMap::zeros(&m);
         let t0 = TemperatureField::uniform(&m, m.ambient());
-        assert!(m.transient(&p, &t0, 0.0, 1).is_err());
-        assert!(m.transient(&p, &t0, f64::NAN, 1).is_err());
+        assert!(m
+            .transient_with(&p, &t0, 0.0, 1, None, &mut SolverWorkspace::new())
+            .is_err());
+        assert!(m
+            .transient_with(&p, &t0, f64::NAN, 1, None, &mut SolverWorkspace::new())
+            .is_err());
     }
 }

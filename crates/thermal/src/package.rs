@@ -82,8 +82,8 @@ impl Package {
 
     /// A package with **no lateral spreading**: spreader and sink exactly
     /// the die size, no board path. Heat flow is then purely vertical,
-    /// which is what the closed-form formulas in [`crate::analytic`]
-    /// assume. Used for solver validation.
+    /// which is what the closed-form one-dimensional formulas the solver
+    /// is validated against assume.
     pub fn one_dimensional(die_width: f64, die_height: f64) -> Self {
         let side = die_width.max(die_height);
         Package {

@@ -106,36 +106,9 @@ impl PowerMap {
         }
     }
 
-    /// Adds another map (same shape) into this one.
-    ///
-    /// # Errors
-    ///
-    /// [`ThermalError::PowerMapMismatch`] if shapes differ.
-    pub fn accumulate(&mut self, other: &PowerMap) -> Result<(), ThermalError> {
-        if self.data.len() != other.data.len() || self.grid != other.grid {
-            return Err(ThermalError::PowerMapMismatch {
-                map_nodes: other.data.len(),
-                model_nodes: self.data.len(),
-            });
-        }
-        for (a, b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-        Ok(())
-    }
-
     /// Total power over all layers.
     pub fn total(&self) -> Watts {
         Watts::new(self.data.iter().sum())
-    }
-
-    /// Total power of one layer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `layer` is out of range.
-    pub fn layer_total(&self, layer: usize) -> Watts {
-        Watts::new(self.layer_slice(layer).iter().sum())
     }
 }
 
@@ -167,7 +140,7 @@ mod tests {
         let mut p = PowerMap::zeros(&m);
         p.add_uniform_layer_power(0, Watts::new(12.0));
         assert!((p.total().get() - 12.0).abs() < 1e-12);
-        assert!((p.layer_total(0).get() - 12.0).abs() < 1e-12);
+        assert!((p.layer_slice(0).iter().sum::<f64>() - 12.0).abs() < 1e-12);
     }
 
     #[test]
@@ -204,9 +177,5 @@ mod tests {
         a.add_uniform_layer_power(0, Watts::new(10.0));
         a.scale(0.5);
         assert!((a.total().get() - 5.0).abs() < 1e-12);
-        let mut b = PowerMap::zeros(&m);
-        b.add_uniform_layer_power(0, Watts::new(1.0));
-        a.accumulate(&b).unwrap();
-        assert!((a.total().get() - 6.0).abs() < 1e-12);
     }
 }

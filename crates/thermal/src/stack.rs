@@ -90,19 +90,6 @@ impl Stack {
         self.layers.iter().position(|l| l.name() == name)
     }
 
-    /// Total thickness of all layers (excluding the package), m.
-    pub fn total_thickness(&self) -> f64 {
-        self.layers.iter().map(|l| l.thickness()).sum()
-    }
-
-    /// Sum over layers of `t/lambda` using each layer's *base* material:
-    /// the one-dimensional thermal resistance per unit area of the
-    /// unmodified stack, m^2-K/W. This is the quantity the paper's Sec. 2.5
-    /// analysis reasons about.
-    pub fn vertical_rth_per_area(&self) -> f64 {
-        self.layers.iter().map(|l| l.base_rth_per_area()).sum()
-    }
-
     /// Discretizes the stack onto `grid`, producing a solvable
     /// [`ThermalModel`].
     ///
@@ -202,10 +189,15 @@ mod tests {
     #[test]
     fn thickness_and_rth_sums() {
         let s = simple_stack();
-        let t = s.total_thickness();
+        let t: f64 = s.layers().iter().map(|l| l.thickness()).sum();
         assert!((t - 234e-6).abs() < 1e-12);
-        // D2D dominates the 1-D resistance.
-        let rth = s.vertical_rth_per_area() * 1e6; // mm^2-K/W
+        // D2D dominates the base-material 1-D resistance per unit area
+        // (mm^2-K/W).
+        let rth: f64 = s
+            .layers()
+            .iter()
+            .map(|l| l.base_material().rth_per_area(l.thickness()) * 1e6)
+            .sum();
         let d2d = 20e-6 / 1.5 * 1e6;
         assert!(rth > d2d, "{rth} vs {d2d}");
         assert!(d2d / rth > 0.8, "D2D should dominate: {} of {}", d2d, rth);

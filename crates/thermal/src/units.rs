@@ -6,7 +6,6 @@
 //! | type | unit | invariant |
 //! |------|------|-----------|
 //! | [`Celsius`] | deg C | finite, >= absolute zero |
-//! | [`Kelvin`] | K | finite, >= 0 |
 //! | [`Watts`] | W | finite (negative = heat extraction) |
 //! | [`WattsPerMeterKelvin`] | W/(m*K) | finite, > 0 |
 //! | [`VolumetricHeatCapacity`] | J/(m^3*K) | finite, > 0 |
@@ -159,12 +158,6 @@ unit_newtype!(
 );
 
 unit_newtype!(
-    /// An absolute (thermodynamic) temperature.
-    Kelvin, "Kelvin temperature", " K",
-    |v| v.is_finite() && v >= 0.0
-);
-
-unit_newtype!(
     /// A power (heat flow). Negative values mean heat extraction.
     Watts, "power in watts", " W",
     |v| v.is_finite()
@@ -183,14 +176,6 @@ unit_newtype!(
 );
 
 impl Celsius {
-    /// This temperature on the Kelvin scale. Infallible: every valid
-    /// `Celsius` is at or above absolute zero.
-    #[must_use]
-    pub fn to_kelvin(self) -> Kelvin {
-        // Clamp shields against -273.15 mapping to -0.0/-1e-14 in float.
-        Kelvin::new((self.0 + KELVIN_OFFSET).max(0.0))
-    }
-
     /// Shifts by a temperature difference in K (== a difference in deg C).
     #[must_use]
     pub fn offset(self, delta_k: f64) -> Self {
@@ -218,27 +203,9 @@ impl Celsius {
     }
 }
 
-impl Kelvin {
-    /// This temperature on the Celsius scale.
-    #[must_use]
-    pub fn to_celsius(self) -> Celsius {
-        Celsius::new(self.0 - KELVIN_OFFSET)
-    }
-}
-
 impl Watts {
     /// Zero power.
     pub const ZERO: Watts = Watts::new(0.0);
-
-    /// Scales the power by a dimensionless factor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result is not finite.
-    #[must_use]
-    pub fn scaled(self, factor: f64) -> Self {
-        Watts::new(self.0 * factor)
-    }
 }
 
 impl std::ops::Add for Watts {
@@ -268,22 +235,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn celsius_kelvin_round_trip() {
-        for c in [-273.15, -40.0, 0.0, 25.0, 85.0, 100.0, 1234.5] {
-            let t = Celsius::new(c);
-            let back = t.to_kelvin().to_celsius();
-            assert!((back - t).abs() < 1e-9, "{c}: {back}");
-        }
-        assert_eq!(Celsius::new(0.0).to_kelvin(), KELVIN_OFFSET);
-        assert_eq!(Kelvin::new(0.0).to_celsius(), ABSOLUTE_ZERO_C);
-    }
-
-    #[test]
     fn nan_and_out_of_range_rejected() {
         assert!(Celsius::try_new(f64::NAN).is_err());
         assert!(Celsius::try_new(f64::INFINITY).is_err());
         assert!(Celsius::try_new(-274.0).is_err());
-        assert!(Kelvin::try_new(-1e-9).is_err());
         assert!(Watts::try_new(f64::NAN).is_err());
         assert!(Watts::try_new(-3.0).is_ok(), "extraction is signed");
         assert!(WattsPerMeterKelvin::try_new(0.0).is_err());
@@ -322,7 +277,6 @@ mod tests {
         let total: Watts = [1.5, 2.5, 4.0].into_iter().map(Watts::new).sum();
         assert_eq!(total, 8.0);
         assert_eq!((Watts::new(2.0) + Watts::new(3.0)).get(), 5.0);
-        assert_eq!(Watts::new(2.0).scaled(0.5), 1.0);
     }
 
     #[test]

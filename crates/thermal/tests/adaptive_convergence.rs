@@ -72,7 +72,14 @@ fn error_shrinks_with_rtol_and_beats_reference_solve_count() {
     let initial = xylem_thermal::TemperatureField::uniform(&model, model.ambient());
     let ref_steps = (HORIZON_S / REF_DT_S).round() as usize;
     let reference = model
-        .transient(&power, &initial, REF_DT_S, ref_steps)
+        .transient_with(
+            &power,
+            &initial,
+            REF_DT_S,
+            ref_steps,
+            None,
+            &mut SolverWorkspace::new(),
+        )
         .unwrap();
     let ref_max = max_temp(reference.raw());
 
@@ -124,7 +131,9 @@ proptest! {
         }
         let initial = xylem_thermal::TemperatureField::uniform(&model, model.ambient());
         let ref_steps = (HORIZON_S / REF_DT_S).round() as usize;
-        let reference = model.transient(&power, &initial, REF_DT_S, ref_steps).unwrap();
+        let reference = model
+            .transient_with(&power, &initial, REF_DT_S, ref_steps, None, &mut SolverWorkspace::new())
+            .unwrap();
         let ref_max = max_temp(reference.raw());
         let (err, solves) = adaptive_error(&model, &power, ref_max, 1e-3);
         prop_assert!(err <= 0.1, "error {err} K vs reference");

@@ -207,12 +207,6 @@ impl Benchmark {
             working_set: (ws_mib as u64) << 20,
         }
     }
-
-    /// Whether the paper treats this code as compute-intensive (used by
-    /// the thread-placement experiment, which pairs LU-NAS with IS).
-    pub fn is_compute_intensive(&self) -> bool {
-        self.profile().memory_intensity < 0.4
-    }
 }
 
 impl std::fmt::Display for Benchmark {
@@ -265,11 +259,11 @@ mod tests {
         ];
         for h in hot {
             assert!(h.profile().activity_peak > 0.9, "{h}");
-            assert!(h.is_compute_intensive(), "{h}");
+            assert!(h.profile().memory_intensity < 0.4, "{h}");
         }
         for c in cool {
             assert!(c.profile().activity_peak < 0.6, "{c}");
-            assert!(!c.is_compute_intensive(), "{c}");
+            assert!(c.profile().memory_intensity >= 0.4, "{c}");
         }
     }
 

@@ -111,27 +111,27 @@ impl PhasedWorkload {
         p.memory_intensity = (base.memory_intensity * phase.memory_scale).clamp(0.0, 1.0);
         p
     }
-
-    /// Instruction-weighted mean of a quantity over the phases.
-    pub fn weighted_mean(&self, f: impl Fn(&WorkloadProfile) -> f64) -> f64 {
-        self.phases
-            .iter()
-            .enumerate()
-            .map(|(i, ph)| ph.weight * f(&self.phase_profile(i)))
-            .sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Instruction-weighted mean of a quantity over the phases.
+    fn weighted_mean(w: &PhasedWorkload, f: impl Fn(&WorkloadProfile) -> f64) -> f64 {
+        w.phases
+            .iter()
+            .enumerate()
+            .map(|(i, ph)| ph.weight * f(&w.phase_profile(i)))
+            .sum()
+    }
+
     #[test]
     fn standard_schedule_preserves_averages() {
         for b in [Benchmark::Cholesky, Benchmark::Is, Benchmark::Fft] {
             let w = PhasedWorkload::standard(b);
             let base = b.profile();
-            let act = w.weighted_mean(|p| p.activity_peak);
+            let act = weighted_mean(&w, |p| p.activity_peak);
             // Clamping bends the average for near-peak bases (Cholesky's
             // main phase saturates at activity 1.0), by up to ~6%.
             assert!(
@@ -139,7 +139,7 @@ mod tests {
                 "{b}: {act} vs {}",
                 base.activity_peak
             );
-            let l1d = w.weighted_mean(|p| p.l1d_mpki);
+            let l1d = weighted_mean(&w, |p| p.l1d_mpki);
             assert!((l1d - base.l1d_mpki).abs() / base.l1d_mpki < 0.02, "{b}");
         }
     }

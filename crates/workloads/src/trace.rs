@@ -118,11 +118,6 @@ impl TraceGenerator {
             access,
         }
     }
-
-    /// Generates `n` instruction slots.
-    pub fn take_events(&mut self, n: usize) -> Vec<TraceEvent> {
-        (0..n).map(|_| self.next_event()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -130,21 +125,26 @@ mod tests {
     use super::*;
     use crate::benchmark::Benchmark;
 
+    /// The first `n` instruction slots of `g`.
+    fn take_events(mut g: TraceGenerator, n: usize) -> Vec<TraceEvent> {
+        (0..n).map(|_| g.next_event()).collect()
+    }
+
     #[test]
     fn deterministic_for_same_seed() {
         let p = Benchmark::Fft.profile();
-        let a = TraceGenerator::new(p, 0, 42).take_events(1000);
-        let b = TraceGenerator::new(p, 0, 42).take_events(1000);
+        let a = take_events(TraceGenerator::new(p, 0, 42), 1000);
+        let b = take_events(TraceGenerator::new(p, 0, 42), 1000);
         assert_eq!(a, b);
-        let c = TraceGenerator::new(p, 0, 43).take_events(1000);
+        let c = take_events(TraceGenerator::new(p, 0, 43), 1000);
         assert_ne!(a, c);
     }
 
     #[test]
     fn threads_use_disjoint_private_regions() {
         let p = Benchmark::Blackscholes.profile();
-        let a = TraceGenerator::new(p, 0, 1).take_events(5000);
-        let b = TraceGenerator::new(p, 1, 1).take_events(5000);
+        let a = take_events(TraceGenerator::new(p, 0, 1), 5000);
+        let b = take_events(TraceGenerator::new(p, 1, 1), 5000);
         let max_a = a
             .iter()
             .filter_map(|e| e.access)
@@ -164,7 +164,7 @@ mod tests {
     #[test]
     fn memory_fraction_near_target() {
         let p = Benchmark::Lu.profile();
-        let events = TraceGenerator::new(p, 0, 7).take_events(50_000);
+        let events = take_events(TraceGenerator::new(p, 0, 7), 50_000);
         let mem = events.iter().filter(|e| e.access.is_some()).count() as f64;
         let frac = mem / events.len() as f64;
         assert!((frac - MEM_FRACTION).abs() < 0.02, "{frac}");
@@ -173,7 +173,7 @@ mod tests {
     #[test]
     fn write_fraction_tracks_profile() {
         let p = Benchmark::Is.profile(); // read_fraction 0.60
-        let events = TraceGenerator::new(p, 0, 9).take_events(100_000);
+        let events = take_events(TraceGenerator::new(p, 0, 9), 100_000);
         let (mut reads, mut writes) = (0.0_f64, 0.0_f64);
         for e in events.iter().filter_map(|e| e.access) {
             if e.1 {

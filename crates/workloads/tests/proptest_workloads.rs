@@ -12,8 +12,9 @@ proptest! {
     #[test]
     fn determinism(seed in any::<u64>(), thread in 0usize..8) {
         let p = Benchmark::Fft.profile();
-        let a = TraceGenerator::new(p, thread, seed).take_events(500);
-        let b = TraceGenerator::new(p, thread, seed).take_events(500);
+        let (mut ga, mut gb) = (TraceGenerator::new(p, thread, seed), TraceGenerator::new(p, thread, seed));
+        let a: Vec<_> = (0..500).map(|_| ga.next_event()).collect();
+        let b: Vec<_> = (0..500).map(|_| gb.next_event()).collect();
         prop_assert_eq!(a, b);
     }
 

@@ -431,7 +431,7 @@ fn gmg_v_cycle_is_linear_in_the_residual() {
     let (nx, ny, nl) = (20, 12, 4);
     let a = stack_matrix(nx, ny, nl);
     let h = GmgHierarchy::build(&a, nx, ny, nl).expect("build");
-    assert!(h.num_levels() > 1);
+    assert!(h.fine_dims().is_some(), "expected real coarsening");
     let n = a.n();
     let r: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
     let r2: Vec<f64> = r.iter().map(|v| 2.0 * v).collect();
@@ -659,22 +659,6 @@ fn stencil_view_multiplies_bitwise_like_the_csr() {
     m.csr().matvec_serial(&x, &mut yc);
     s.matvec_serial(&x, &mut ys);
     assert_eq!(bits(&yc), bits(&ys));
-}
-
-#[test]
-fn user_nodes_are_distinct_and_in_range() {
-    let m = model(4);
-    let mut seen = vec![false; m.node_count()];
-    for layer in 0..m.n_user_layers() {
-        for iy in 0..4 {
-            for ix in 0..4 {
-                let k = m.user_node(layer, ix, iy);
-                assert!(k < m.node_count());
-                assert!(!seen[k], "node {k} reused");
-                seen[k] = true;
-            }
-        }
-    }
 }
 
 // ---- Pinned solver bits -----------------------------------------------

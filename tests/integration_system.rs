@@ -5,7 +5,7 @@ use xylem::dtm::{
     dtm_transient_configured, dtm_transient_phased, dvfs_power_maps, DtmPolicy, DtmResult,
     DtmRunConfig,
 };
-use xylem::headroom::{max_frequency_at_iso_temperature, max_frequency_under_limits};
+use xylem::headroom::{max_frequency_at_iso_temperature, max_frequency_for_run, ThermalLimits};
 use xylem::migration::{migration_experiment, threshold_migration_experiment, MigrationConfig};
 use xylem::placement::ThreadPlacement;
 use xylem::sensor::{FaultKind, SensorFault, SensorModel};
@@ -79,7 +79,11 @@ fn iso_temperature_boost_chain() {
 fn dtm_respects_both_limits() {
     let mut sys = system(XylemScheme::BankEnhanced);
     for app in [Benchmark::LuNas, Benchmark::Is] {
-        let out = max_frequency_under_limits(&mut sys, app).unwrap().unwrap();
+        let out = max_frequency_for_run(&mut sys, ThermalLimits::paper_dtm(), |f| {
+            RunSpec::uniform(app, f)
+        })
+        .unwrap()
+        .unwrap();
         assert!(out.evaluation.proc_hotspot_c <= 100.0 + 1e-9, "{app}");
         assert!(out.evaluation.dram_hotspot_c <= 95.0 + 1e-9, "{app}");
     }
