@@ -15,13 +15,6 @@ pub struct CacheGeometry {
     pub round_trip_cycles: u32,
 }
 
-impl CacheGeometry {
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.size / (self.ways * self.line)
-    }
-}
-
 /// The Table 3 machine: eight 4-issue out-of-order cores at 2.4-3.5 GHz,
 /// private L1s and L2s, bus-based snoopy MESI, 4 Wide I/O DRAM channels.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -102,13 +95,6 @@ mod tests {
         assert_eq!(c.bus_width_bits, 512);
         assert_eq!(c.t_j_max, 100.0);
         assert_eq!(c.t_dram_max, 95.0);
-    }
-
-    #[test]
-    fn set_counts() {
-        let c = ArchConfig::paper_default();
-        assert_eq!(c.l1d.sets(), 256);
-        assert_eq!(c.l2.sets(), 512);
     }
 
     #[test]

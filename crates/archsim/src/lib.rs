@@ -5,24 +5,22 @@
 //! DRAM command rates for the memory power model. This crate provides:
 //!
 //! * [`config`] — the paper's Table 3 architecture parameters;
-//! * [`cache`] — a set-associative, LRU, MESI-state cache used for both
-//!   the private L1s/L2s and the coherence model;
-//! * [`coherence`] — a bus-based snoopy MESI protocol across the 8
-//!   private L2s;
 //! * [`interval`] — the first-order interval CPI model: core-limited
 //!   cycles scale with frequency, exposed DRAM time does not. This is the
 //!   mechanism behind every performance number in the paper's evaluation
 //!   (a frequency boost helps compute-bound code, not memory-bound code);
-//! * [`system`] — [`Machine`]: ties profiles, the cache
-//!   hierarchy, and the Wide I/O DRAM model together, including a
+//! * [`system`] — [`Machine`]: ties the calibrated profiles' miss rates,
+//!   the interval model and the Wide I/O DRAM model together, including a
 //!   fixed-point DRAM-latency-under-load estimate driven through the
 //!   actual `xylem-dram` channel model.
+//!
+//! This is the crate's one performance model: cache behaviour enters as
+//! the profiles' per-kilo-instruction miss rates, not through a simulated
+//! cache hierarchy.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-pub mod cache;
-pub mod coherence;
 pub mod config;
 pub mod interval;
 pub mod system;

@@ -1,14 +1,9 @@
-//! The simulated machine: profiles + caches + DRAM, end to end.
+//! The simulated machine: profiles + DRAM, end to end.
 //!
-//! [`Machine::run`] is the fast path the experiments use: it combines the
-//! interval model with a DRAM-latency-under-load fixed point driven
-//! through the real `xylem-dram` channel model, and derives the activity
-//! factors the power model consumes.
-//!
-//! [`Machine::simulate_hierarchy`] is the measurement path: it generates
-//! synthetic traces and runs them through the set-associative L1s and the
-//! MESI-coherent L2s, reporting measured miss rates (used by tests to keep
-//! profiles and simulation mutually consistent).
+//! [`Machine::run`] is the one performance path the experiments use: it
+//! combines the interval model with a DRAM-latency-under-load fixed point
+//! driven through the real `xylem-dram` channel model, and derives the
+//! activity factors the power model consumes.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -16,10 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use xylem_dram::channel::{MemoryRequest, RequestKind, WideIoStack};
 use xylem_dram::timing::WideIoTiming;
-use xylem_workloads::{Benchmark, TraceGenerator, WorkloadProfile};
+use xylem_workloads::{Benchmark, WorkloadProfile};
 
-use crate::cache::{Cache, LineState};
-use crate::coherence::{CoherentL2s, MissSource};
 use crate::config::ArchConfig;
 use crate::interval::{cpi_breakdown, CpiBreakdown};
 
@@ -55,23 +48,6 @@ pub struct AppMetrics {
     pub dram_activate_rate: f64,
     /// Sustained DRAM bandwidth, GB/s.
     pub dram_bandwidth_gbps: f64,
-}
-
-/// Measured miss rates from the trace-driven hierarchy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
-pub struct HierarchyReport {
-    /// Instructions simulated (all threads).
-    pub instructions: u64,
-    /// Measured L1I misses per kilo-instruction.
-    pub l1i_mpki: f64,
-    /// Measured L1D misses per kilo-instruction.
-    pub l1d_mpki: f64,
-    /// Measured L2 misses per kilo-instruction (to bus).
-    pub l2_mpki: f64,
-    /// Fraction of L2 misses served cache-to-cache.
-    pub c2c_fraction: f64,
-    /// Measured DRAM accesses per kilo-instruction.
-    pub dram_apki: f64,
 }
 
 /// The simulated 8-core machine.
@@ -224,94 +200,6 @@ impl Machine {
         }
         stack.total_stats().mean_latency_ns()
     }
-
-    /// Trace-driven cache-hierarchy simulation: `instructions` slots per
-    /// thread through private L1I/L1D (write-through, no-write-allocate
-    /// data cache per Table 3) and the MESI-coherent private L2s.
-    pub fn simulate_hierarchy(
-        &self,
-        benchmark: Benchmark,
-        instructions: u64,
-        threads: usize,
-        seed: u64,
-    ) -> HierarchyReport {
-        assert!(threads >= 1 && threads <= self.arch.cores);
-        let profile = benchmark.profile();
-        let mut l1i: Vec<Cache> = (0..threads).map(|_| Cache::new(self.arch.l1i)).collect();
-        let mut l1d: Vec<Cache> = (0..threads).map(|_| Cache::new(self.arch.l1d)).collect();
-        let mut l2s = CoherentL2s::new(threads, self.arch.l2);
-        let mut gens: Vec<TraceGenerator> = (0..threads)
-            .map(|t| TraceGenerator::new(profile, t, seed))
-            .collect();
-
-        let mut l1i_misses = 0u64;
-        let mut l1d_misses = 0u64;
-        let mut l2_misses = 0u64;
-        let mut c2c = 0u64;
-        let mut dram = 0u64;
-
-        for _ in 0..instructions {
-            for t in 0..threads {
-                let ev = gens[t].next_event();
-                if matches!(
-                    l1i[t].access(ev.pc, false, LineState::Exclusive),
-                    crate::cache::AccessOutcome::Miss { .. }
-                ) {
-                    l1i_misses += 1;
-                    // Instruction fill goes through the local L2.
-                    if let Some(src) = l2s.access(t, ev.pc | 1 << 62, false) {
-                        l2_misses += 1;
-                        match src {
-                            MissSource::CacheToCache => c2c += 1,
-                            MissSource::Dram => dram += 1,
-                        }
-                    }
-                }
-                if let Some((addr, is_write)) = ev.access {
-                    if is_write {
-                        // Write-through, no-write-allocate: the write always
-                        // reaches the L2; the L1 is updated only on a hit.
-                        let _ = l1d[t].state_of(addr); // modeling note: no allocate
-                        if let Some(src) = l2s.access(t, addr, true) {
-                            l2_misses += 1;
-                            match src {
-                                MissSource::CacheToCache => c2c += 1,
-                                MissSource::Dram => dram += 1,
-                            }
-                        }
-                        l1d_misses += 1; // WT writes count as L2 traffic
-                    } else if matches!(
-                        l1d[t].access(addr, false, LineState::Exclusive),
-                        crate::cache::AccessOutcome::Miss { .. }
-                    ) {
-                        l1d_misses += 1;
-                        if let Some(src) = l2s.access(t, addr, false) {
-                            l2_misses += 1;
-                            match src {
-                                MissSource::CacheToCache => c2c += 1,
-                                MissSource::Dram => dram += 1,
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let total_instr = instructions * threads as u64;
-        let k = 1000.0 / total_instr as f64;
-        HierarchyReport {
-            instructions: total_instr,
-            l1i_mpki: l1i_misses as f64 * k,
-            l1d_mpki: l1d_misses as f64 * k,
-            l2_mpki: l2_misses as f64 * k,
-            c2c_fraction: if l2_misses == 0 {
-                0.0
-            } else {
-                c2c as f64 / l2_misses as f64
-            },
-            dram_apki: dram as f64 * k,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -348,32 +236,6 @@ mod tests {
         let c24 = m.run(Benchmark::LuNas, 2.4, 8).exec_time_s;
         let c35 = m.run(Benchmark::LuNas, 3.5, 8).exec_time_s;
         assert!(c24 / c35 > 1.35, "{}", c24 / c35);
-    }
-
-    #[test]
-    fn hierarchy_measurement_tracks_profile_ordering() {
-        let m = Machine::paper_default();
-        let is = m.simulate_hierarchy(Benchmark::Is, 40_000, 4, 11);
-        let lu = m.simulate_hierarchy(Benchmark::LuNas, 40_000, 4, 11);
-        assert!(
-            is.l1d_mpki > lu.l1d_mpki,
-            "{} vs {}",
-            is.l1d_mpki,
-            lu.l1d_mpki
-        );
-        assert!(
-            is.dram_apki > lu.dram_apki,
-            "{} vs {}",
-            is.dram_apki,
-            lu.dram_apki
-        );
-    }
-
-    #[test]
-    fn sharing_apps_see_cache_to_cache_traffic() {
-        let m = Machine::paper_default();
-        let barnes = m.simulate_hierarchy(Benchmark::Barnes, 60_000, 8, 5);
-        assert!(barnes.c2c_fraction > 0.02, "{}", barnes.c2c_fraction);
     }
 
     #[test]

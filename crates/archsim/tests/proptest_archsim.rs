@@ -1,90 +1,13 @@
-//! Property-based tests on cache/coherence invariants and the interval
-//! model.
+//! Property-based tests on the interval model.
 
 use proptest::prelude::*;
 
-use xylem_archsim::cache::{Cache, LineState};
-use xylem_archsim::coherence::CoherentL2s;
-use xylem_archsim::config::{ArchConfig, CacheGeometry};
+use xylem_archsim::config::ArchConfig;
 use xylem_archsim::interval::{cpi_breakdown, exec_time_s};
 use xylem_workloads::Benchmark;
 
-fn small_geometry() -> CacheGeometry {
-    CacheGeometry {
-        size: 4 * 1024,
-        ways: 4,
-        line: 64,
-        round_trip_cycles: 2,
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// An access immediately after an access to the same line always hits.
-    #[test]
-    fn temporal_locality_hits(
-        ops in proptest::collection::vec((any::<u16>(), any::<bool>()), 1..200)
-    ) {
-        let mut c = Cache::new(small_geometry());
-        for (addr, write) in ops {
-            let a = u64::from(addr) * 8;
-            let _ = c.access(a, write, LineState::Exclusive);
-            prop_assert_eq!(
-                c.access(a, false, LineState::Exclusive),
-                xylem_archsim::cache::AccessOutcome::Hit
-            );
-        }
-    }
-
-    /// The cache never holds more distinct lines than its capacity.
-    #[test]
-    fn capacity_respected(
-        addrs in proptest::collection::vec(any::<u32>(), 1..500)
-    ) {
-        let geom = small_geometry();
-        let mut c = Cache::new(geom);
-        for a in &addrs {
-            let _ = c.access(u64::from(*a) * 64, false, LineState::Exclusive);
-        }
-        // Count resident lines by probing all touched addresses.
-        let resident = addrs
-            .iter()
-            .map(|a| u64::from(*a) * 64)
-            .collect::<std::collections::HashSet<_>>()
-            .into_iter()
-            .filter(|&a| c.state_of(a) != LineState::Invalid)
-            .count();
-        prop_assert!(resident <= geom.size / geom.line, "{resident}");
-    }
-
-    /// Single-writer/multiple-reader: after any access sequence, a line is
-    /// either Modified in at most one cache (and Invalid elsewhere), or in
-    /// Shared/Exclusive states with no Modified copy.
-    #[test]
-    fn mesi_swmr_invariant(
-        ops in proptest::collection::vec((0usize..4, 0u8..16, any::<bool>()), 1..300)
-    ) {
-        let mut l2s = CoherentL2s::new(4, small_geometry());
-        let mut touched = std::collections::HashSet::new();
-        for (core, line, write) in ops {
-            let addr = u64::from(line) * 64;
-            touched.insert(addr);
-            let _ = l2s.access(core, addr, write);
-            for &a in &touched {
-                let states: Vec<LineState> =
-                    (0..4).map(|i| l2s.cache(i).state_of(a)).collect();
-                let modified = states.iter().filter(|&&s| s == LineState::Modified).count();
-                let exclusive = states.iter().filter(|&&s| s == LineState::Exclusive).count();
-                let shared = states.iter().filter(|&&s| s == LineState::Shared).count();
-                prop_assert!(modified <= 1, "{states:?}");
-                prop_assert!(exclusive <= 1, "{states:?}");
-                if modified == 1 || exclusive == 1 {
-                    prop_assert_eq!(shared, 0, "owner coexists with sharers: {:?}", states);
-                }
-            }
-        }
-    }
 
     /// CPI is monotone in DRAM latency and in every MPKI input; execution
     /// time decreases with frequency.

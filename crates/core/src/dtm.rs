@@ -520,6 +520,18 @@ fn run_controller(
         )
         .into());
     }
+    let dt = run.policy.control_period_s;
+    let steps = (duration_s / dt).round() as usize;
+    if steps == 0 {
+        return Err(ConfigError::new(
+            "duration_s",
+            format!(
+                "duration {duration_s} s is shorter than half a control period ({dt} s), \
+                 so the run would take no step"
+            ),
+        )
+        .into());
+    }
     if let Some(sm) = &run.sensors {
         sm.validate(grid.nx(), grid.ny())?;
     }
@@ -547,8 +559,6 @@ fn run_controller(
     };
     let points = &schedule.points;
 
-    let dt = run.policy.control_period_s;
-    let steps = (duration_s / dt).round() as usize;
     let opts = model.solver_options();
     let fingerprint = RunFingerprint {
         benchmark: label,
@@ -954,6 +964,27 @@ mod tests {
             GridSpec::new(12, 12),
         );
         assert!(r.is_err());
+        // A duration that rounds to zero control periods has no samples
+        // to report a peak from.
+        let policy = DtmPolicy::paper_default();
+        let blink = dtm_transient(
+            &s,
+            Benchmark::Is,
+            2.8,
+            0.4 * policy.control_period_s,
+            &policy,
+            GridSpec::new(12, 12),
+        );
+        match blink {
+            Err(crate::XylemError::Config(e)) => {
+                assert_eq!(e.what, "duration_s");
+                assert!(
+                    e.to_string().contains("shorter than half a control period"),
+                    "{e}"
+                );
+            }
+            other => panic!("expected a duration_s ConfigError, got {other:?}"),
+        }
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl ThreadPlacement {
     pub fn is_empty(&self) -> bool {
         self.cores.is_empty()
     }
-
-    /// Whether `core` is used.
-    pub fn uses(&self, core: usize) -> bool {
-        self.cores.contains(&core)
-    }
 }
 
 #[cfg(test)]
@@ -79,7 +74,7 @@ mod tests {
     fn inner_and_outer_are_disjoint() {
         let inner = ThreadPlacement::inner();
         for c in ThreadPlacement::outer().cores() {
-            assert!(!inner.uses(*c));
+            assert!(!inner.cores().contains(c));
         }
     }
 

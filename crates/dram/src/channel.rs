@@ -197,11 +197,6 @@ impl Channel {
     pub fn stats(&self) -> &ChannelStats {
         &self.stats
     }
-
-    /// The channel's timing parameters.
-    pub fn timing(&self) -> &WideIoTiming {
-        &self.timing
-    }
 }
 
 /// The full 4-channel Wide I/O stack.
@@ -227,11 +222,6 @@ impl WideIoStack {
     pub fn access(&mut self, req: MemoryRequest) -> (f64, RowBufferOutcome) {
         let d = DecodedAddress::decode(req.addr);
         self.channels[d.channel].access(d.rank, d.bank, d.row, &req)
-    }
-
-    /// Per-channel views.
-    pub fn channels(&self) -> &[Channel] {
-        &self.channels
     }
 
     /// Summed statistics across channels.
@@ -338,7 +328,7 @@ mod tests {
         for i in 0..16u64 {
             s.access(read_at(i * 64, 0.0));
         }
-        for c in s.channels() {
+        for c in &s.channels {
             assert_eq!(c.stats().reads, 4);
         }
     }

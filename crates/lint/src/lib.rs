@@ -40,7 +40,8 @@
 //! 10. **`no-uncalled-pub`** — a `pub` item in a crate's `src/` must be
 //!     named by program code (crate sources, benches, examples,
 //!     `perfbench/src`); tests, comments and `use` re-exports are not
-//!     callers ([`analyze_workspace`]).
+//!     callers, nor is a field or local named like a `pub fn`
+//!     ([`analyze_workspace`]).
 //!
 //! Two workspace-root files tune the verdict, sharing one format (one
 //! `<rule> <path-suffix> <symbol>` entry per line, `#` comments, symbol
@@ -196,12 +197,6 @@ impl Allowlist {
                 && path.ends_with(&e.path_suffix)
                 && (e.symbol == "*" || e.symbol == symbol)
         })
-    }
-
-    /// The parsed entries, in file order.
-    #[must_use]
-    pub fn entries(&self) -> &[AllowEntry] {
-        &self.entries
     }
 }
 
@@ -460,8 +455,8 @@ mod tests {
         assert!(a.permits("unwrap", "crates/core/src/response.rs", "anything"));
         assert!(!a.permits("unwrap", "crates/core/src/dtm.rs", "anything"));
         // Entries carry their source line for stale reporting.
-        assert_eq!(a.entries()[0].line, 2);
-        assert_eq!(a.entries()[1].line, 3);
+        assert_eq!(a.entries[0].line, 2);
+        assert_eq!(a.entries[1].line, 3);
     }
 
     #[test]

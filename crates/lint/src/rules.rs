@@ -47,7 +47,8 @@
 //!
 //! * `no-uncalled-pub` — a `pub` item defined in a crate's `src/` that no
 //!   program code names. Names in tests, comments and `use`/`pub use`
-//!   declarations are not calls.
+//!   declarations are not calls, and neither, for a `pub fn`, is a field
+//!   or local of the same name.
 
 use crate::lexer::{Tok, TokKind};
 use crate::symbols::{FileSymbols, UNIT_TYPES};
@@ -954,11 +955,22 @@ fn impl_self_types(toks: &[Tok]) -> Vec<Option<&str>> {
     owner
 }
 
-/// The `pub` items a file defines outside its test code: `(name, line)`
-/// of each `pub` `fn` (`pub const fn` included), `struct`, `enum`,
+/// Whether the name at token `i` can call a function: it is followed by
+/// `(` (`f(..)`, `x.f(..)`) or joined to a path by `::` (`T::f` passed as
+/// a value, `f::<T>(..)`). A field read (`.f`), a field declaration,
+/// initializer or pattern (`f: ..`) and a local binding or shorthand
+/// initializer of the same name (bare `f`) cannot.
+fn can_call(toks: &[Tok], i: usize) -> bool {
+    let punct = |j: usize, c: char| toks.get(j).is_some_and(|t| t.is_punct(c));
+    let path_before = i >= 2 && punct(i - 1, ':') && punct(i - 2, ':');
+    punct(i + 1, '(') || (punct(i + 1, ':') && punct(i + 2, ':')) || path_before
+}
+
+/// The `pub` items a file defines outside its test code: `(name, line,
+/// is_fn)` of each `pub` `fn` (`pub const fn` included), `struct`, `enum`,
 /// `trait`, `const`, `static` or `type`. Restricted visibility
 /// (`pub(crate)`) is rustc's `dead_code` lint's business, not this rule's.
-fn pub_items<'t>(toks: &'t [Tok], mask: &[bool]) -> Vec<(&'t str, u32)> {
+fn pub_items<'t>(toks: &'t [Tok], mask: &[bool]) -> Vec<(&'t str, u32, bool)> {
     let mut out = Vec::new();
     for i in 0..toks.len() {
         if mask[i] || !toks[i].is_ident("pub") {
@@ -974,7 +986,7 @@ fn pub_items<'t>(toks: &'t [Tok], mask: &[bool]) -> Vec<(&'t str, u32)> {
             .get(kw + 1)
             .filter(|t| is_item && t.kind == TokKind::Ident)
         {
-            out.push((name.text.as_str(), name.line));
+            out.push((name.text.as_str(), name.line, toks[kw].is_ident("fn")));
         }
     }
     out
@@ -984,11 +996,16 @@ fn pub_items<'t>(toks: &'t [Tok], mask: &[bool]) -> Vec<(&'t str, u32)> {
 /// crate's `src/` that no identifier in caller code names. A name counts
 /// only outside test code, outside `use`/`pub use` declarations (a
 /// re-export is not a call), off definition sites and outside the named
-/// type's own `impl` blocks; comments never reach the token stream.
+/// type's own `impl` blocks; comments never reach the token stream. A
+/// `pub fn` further needs a name that can call it (`can_call`): a field
+/// or local of the same name does not keep a method alive.
 /// `files` holds each file's path and tokens.
 pub fn check_uncalled_pub(files: &[(&str, Vec<Tok>)], out: &mut Vec<Diagnostic>) {
     let masks: Vec<Vec<bool>> = files.iter().map(|(_, toks)| cfg_test_mask(toks)).collect();
-    let mut called = std::collections::BTreeSet::new();
+    let (mut named, mut called) = (
+        std::collections::BTreeSet::new(),
+        std::collections::BTreeSet::new(),
+    );
     for ((relpath, toks), mask) in files.iter().zip(&masks) {
         if !is_caller_source(relpath) {
             continue;
@@ -1001,7 +1018,10 @@ pub fn check_uncalled_pub(files: &[(&str, Vec<Tok>)], out: &mut Vec<Diagnostic>)
                 && owner[i] != Some(t.text.as_str())
                 && !is_definition_name(toks, i);
             if reference {
-                called.insert(t.text.as_str());
+                named.insert(t.text.as_str());
+                if can_call(toks, i) {
+                    called.insert(t.text.as_str());
+                }
             }
         }
     }
@@ -1011,8 +1031,9 @@ pub fn check_uncalled_pub(files: &[(&str, Vec<Tok>)], out: &mut Vec<Diagnostic>)
         if !in_crate_src {
             continue;
         }
-        for (name, line) in pub_items(toks, mask) {
-            if !called.contains(name) {
+        for (name, line, is_fn) in pub_items(toks, mask) {
+            let used = if is_fn { &called } else { &named };
+            if !used.contains(name) {
                 out.push(Diagnostic {
                     rule: "no-uncalled-pub",
                     path: (*relpath).to_string(),

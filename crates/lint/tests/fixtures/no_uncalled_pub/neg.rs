@@ -25,3 +25,30 @@ pub fn called_in_this_file() -> u32 {
 fn helper() -> u32 {
     called_in_this_file()
 }
+
+/// A link whose `width` field shares its name with an accessor.
+pub struct Link {
+    width: u32,
+}
+
+impl Link {
+    /// Called as a method below, beside reads of the field it shares a
+    /// name with.
+    pub fn width(&self) -> u32 {
+        self.width
+    }
+
+    /// Passed by path as a function value below.
+    pub fn doubled(width: u32) -> u32 {
+        2 * width
+    }
+}
+
+fn link_width() -> u32 {
+    let link = Link { width: 8 };
+    link.width + link.width()
+}
+
+fn doubled_widths(widths: &[u32]) -> Vec<u32> {
+    widths.iter().copied().map(Link::doubled).collect()
+}

@@ -30,6 +30,26 @@ pub mod engine {
             OnlySelfNamed
         }
     }
+
+    /// A bus whose `lanes` field shares its name with an accessor.
+    pub struct Bus {
+        lanes: u32,
+    }
+
+    impl Bus {
+        /// Named in program code only as the field: its declaration, a
+        /// read, an initializer and a local binding. Only this crate's
+        /// tests call it.
+        pub fn lanes(&self) -> u32 {
+            self.lanes
+        }
+    }
+
+    fn widest(lanes: u32) -> u32 {
+        let bus = Bus { lanes };
+        let wide = Bus { lanes: 2 * bus.lanes };
+        wide.lanes
+    }
 }
 
 // only_commented() would answer 3.
@@ -40,5 +60,7 @@ mod tests {
     #[test]
     fn unit() {
         assert_eq!(super::engine::only_unit_tested(), 1);
+        let bus = super::engine::Bus { lanes: 4 };
+        assert_eq!(bus.lanes(), 4);
     }
 }

@@ -444,6 +444,7 @@ fn uncalled_symbols(files: &[(&str, &str)]) -> Vec<String> {
 fn uncalled_pub_positive_fixture_fires() {
     // Own `#[cfg(test)]` module, a file under `tests/`, a comment, a
     // `pub use` and the type's own impl block: none of them is a call.
+    // Nor, for a `pub fn`, is a field or local of the same name.
     let pos = fixture("no_uncalled_pub", "pos");
     let integration =
         "#[test]\nfn it() {\n    assert_eq!(demo::engine::only_integration_tested(), 2);\n}\n";
@@ -456,6 +457,7 @@ fn uncalled_pub_positive_fixture_fires() {
             "only_commented",
             "only_reexported",
             "OnlySelfNamed",
+            "lanes",
         ]
     );
 }

@@ -34,12 +34,6 @@ impl Event {
         self
     }
 
-    /// Adds a signed integer field.
-    pub fn i64(mut self, key: &str, v: i64) -> Self {
-        self.fields.push((key.to_owned(), Value::I64(v)));
-        self
-    }
-
     /// Adds a float field. Non-finite values are stored as JSON `null`.
     pub fn f64(mut self, key: &str, v: f64) -> Self {
         let value = if v.is_finite() {
@@ -159,7 +153,7 @@ mod tests {
     fn typed_fields_keep_order_and_round_trip_through_json() {
         let e = event("step")
             .u64("n", 7)
-            .i64("delta", -3)
+            .value("delta", Value::I64(-3))
             .str("prec", "gmg \"v\"")
             .bool("ok", true)
             .value("extra", Value::Array(vec![Value::U64(1)]));

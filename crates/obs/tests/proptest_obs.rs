@@ -134,7 +134,7 @@ proptest! {
         let (tag, i, f, s) = ops[0];
         let ev = event("prop_event")
             .str("s", &fragment_string(tag, s))
-            .i64("i", i)
+            .value("i", Value::I64(i))
             .f64("f", f)
             .f64("special", special)
             .value("tree", v)

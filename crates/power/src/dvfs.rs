@@ -74,11 +74,6 @@ impl DvfsTable {
         }
     }
 
-    /// Step size, GHz.
-    pub fn step_ghz(&self) -> f64 {
-        self.step_ghz
-    }
-
     /// Number of operating points.
     pub fn len(&self) -> usize {
         ((self.f_max_ghz - self.f_min_ghz) / self.step_ghz).round() as usize + 1

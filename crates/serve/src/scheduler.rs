@@ -296,11 +296,6 @@ impl Server {
         Ok((server, report))
     }
 
-    /// The spool directory this server persists into.
-    pub fn spool_dir(&self) -> &std::path::Path {
-        self.spool.dir()
-    }
-
     fn active_of(&self, tenant: &str) -> (usize, u64) {
         let mut count = 0usize;
         let mut steps = 0u64;

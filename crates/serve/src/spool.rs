@@ -244,11 +244,6 @@ impl Spool {
         ))
     }
 
-    /// The spool directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
     /// Durably records a new scenario source (idempotent per key).
     pub fn record_source(&mut self, key: u64, source: &str) -> Result<(), ServeError> {
         let path = self.dir.join("sources").join(format!("{key:016x}.stk"));

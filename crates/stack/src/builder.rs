@@ -184,20 +184,16 @@ impl StackConfig {
         };
 
         let mut layers: Vec<Layer> = Vec::with_capacity(self.n_dram_dies * 3 + 2);
-        let mut dram_si_layers = Vec::new();
         let mut dram_metal_layers = Vec::new();
-        let mut d2d_layers = Vec::new();
         let proc_si_layer;
         let proc_metal_layer;
 
         match self.organization {
             Organization::MemoryOnTop => {
                 for die in 0..self.n_dram_dies {
-                    dram_si_layers.push(layers.len());
                     layers.push(dram_si(die)?);
                     dram_metal_layers.push(layers.len());
                     layers.push(dram_metal(die)?);
-                    d2d_layers.push(layers.len());
                     layers.push(d2d_layer(die)?);
                 }
                 proc_si_layer = layers.len();
@@ -211,9 +207,7 @@ impl StackConfig {
                 proc_metal_layer = layers.len();
                 layers.push(proc_metal()?);
                 for die in 0..self.n_dram_dies {
-                    d2d_layers.push(layers.len());
                     layers.push(d2d_layer(die)?);
-                    dram_si_layers.push(layers.len());
                     layers.push(dram_si(die)?);
                     dram_metal_layers.push(layers.len());
                     layers.push(dram_metal(die)?);
@@ -230,9 +224,7 @@ impl StackConfig {
             stack,
             config: self.clone(),
             sites,
-            dram_si_layers,
             dram_metal_layers,
-            d2d_layers,
             proc_si_layer,
             proc_metal_layer,
         })
@@ -280,9 +272,7 @@ pub struct BuiltStack {
     stack: Stack,
     config: StackConfig,
     sites: Vec<TtsvSite>,
-    dram_si_layers: Vec<usize>,
     dram_metal_layers: Vec<usize>,
-    d2d_layers: Vec<usize>,
     proc_si_layer: usize,
     proc_metal_layer: usize,
 }
@@ -314,19 +304,9 @@ impl BuiltStack {
         }
     }
 
-    /// Layer indices of the DRAM bulk-silicon layers, top die first.
-    pub fn dram_si_layers(&self) -> &[usize] {
-        &self.dram_si_layers
-    }
-
     /// Layer indices of the DRAM metal (power) layers, top die first.
     pub fn dram_metal_layers(&self) -> &[usize] {
         &self.dram_metal_layers
-    }
-
-    /// Layer indices of the D2D layers, top first.
-    pub fn d2d_layers(&self) -> &[usize] {
-        &self.d2d_layers
     }
 
     /// Layer index of the processor bulk silicon.
@@ -355,6 +335,23 @@ mod tests {
     use super::*;
     use xylem_thermal::grid::GridSpec;
 
+    /// The built stack's layers whose name `keep` accepts, in stack order.
+    fn layers_where(b: &BuiltStack, keep: impl Fn(&str) -> bool) -> Vec<&Layer> {
+        b.stack()
+            .layers()
+            .iter()
+            .filter(|l| keep(l.name()))
+            .collect()
+    }
+
+    fn is_dram_si(name: &str) -> bool {
+        name.starts_with("dram") && name.ends_with("_si")
+    }
+
+    fn is_d2d(name: &str) -> bool {
+        name.starts_with("d2d")
+    }
+
     #[test]
     fn paper_default_builds_26_layers() {
         let b = StackConfig::paper_default(XylemScheme::Base)
@@ -362,7 +359,7 @@ mod tests {
             .unwrap();
         assert_eq!(b.stack().len(), 26);
         assert_eq!(b.dram_metal_layers().len(), 8);
-        assert_eq!(b.d2d_layers().len(), 8);
+        assert_eq!(layers_where(&b, is_d2d).len(), 8);
         assert_eq!(b.proc_metal_layer(), 25);
         assert_eq!(b.proc_si_layer(), 24);
         assert_eq!(b.bottom_dram_metal_layer(), 22);
@@ -380,17 +377,17 @@ mod tests {
         let banke = StackConfig::paper_default(XylemScheme::BankEnhanced)
             .build()
             .unwrap();
-        let d2d = banke.stack().layer(banke.d2d_layers()[0]).unwrap();
+        let d2d = layers_where(&banke, is_d2d)[0];
         // One electrical-bus patch + one patch per TTSV (33 sites, 3
         // doubled).
         assert_eq!(d2d.patches().len(), 1 + 36);
         let prior = StackConfig::paper_default(XylemScheme::Prior)
             .build()
             .unwrap();
-        let d2d_prior = prior.stack().layer(prior.d2d_layers()[0]).unwrap();
+        let d2d_prior = layers_where(&prior, is_d2d)[0];
         assert_eq!(d2d_prior.patches().len(), 1); // bus only, no pillars
                                                   // ... but prior does paint the silicon.
-        let si_prior = prior.stack().layer(prior.dram_si_layers()[0]).unwrap();
+        let si_prior = layers_where(&prior, is_dram_si)[0];
         assert!(!si_prior.patches().is_empty());
     }
 
@@ -401,8 +398,10 @@ mod tests {
             .unwrap();
         // Silicon layers untouched; D2D layers carry only the
         // electrical-bus patch shared by every scheme.
-        for &l in b.dram_si_layers() {
-            assert!(b.stack().layer(l).unwrap().patches().is_empty());
+        let dram_si = layers_where(&b, is_dram_si);
+        assert_eq!(dram_si.len(), 8);
+        for l in dram_si {
+            assert!(l.patches().is_empty());
         }
         assert!(b
             .stack()
@@ -410,8 +409,8 @@ mod tests {
             .unwrap()
             .patches()
             .is_empty());
-        for &l in b.d2d_layers() {
-            assert_eq!(b.stack().layer(l).unwrap().patches().len(), 1);
+        for l in layers_where(&b, is_d2d) {
+            assert_eq!(l.patches().len(), 1);
         }
         assert!(b.high_conductivity_sites().is_empty());
     }
@@ -462,12 +461,7 @@ mod tests {
         // No TSVs in the processor die.
         assert!(b.stack().layer(0).unwrap().patches().is_empty());
         // DRAM silicon still carries the TTSVs.
-        assert!(!b
-            .stack()
-            .layer(b.dram_si_layers()[0])
-            .unwrap()
-            .patches()
-            .is_empty());
+        assert!(!layers_where(&b, is_dram_si)[0].patches().is_empty());
     }
 
     #[test]

@@ -218,14 +218,6 @@ impl ProcDieGeometry {
         Ok(fp)
     }
 
-    /// All core sub-block names for core `id`.
-    pub fn core_block_names(id: CoreId) -> Vec<String> {
-        CORE_BLOCKS
-            .iter()
-            .map(|b| Self::core_block_name(id, b))
-            .collect()
-    }
-
     /// Mean Euclidean distance (m) from the center of core `id` to a set of
     /// site coordinates — the metric behind "average distance to the high
     /// vertical conductivity sites" (Sec. 5.2).

@@ -50,3 +50,18 @@ fn dtm_runs_on_a_small_grid_through_the_sensor_array() {
     // The sensor array's fused reading lands in the run report's gauges.
     assert!(stdout.contains("sensor_fused_c"), "{stdout}");
 }
+
+#[test]
+fn dtm_shorter_than_half_a_control_period_is_a_usage_error() {
+    let cache = cache_dir("dtm-blink");
+    let out = xylem(&cache, &["dtm", "--grid", "12", "--duration", "0.0004"]);
+    let _ = std::fs::remove_dir_all(&cache);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // Exit 1 with the config error, not a panic (exit 101).
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("duration_s") && stderr.contains("shorter than half a control period"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

@@ -258,29 +258,14 @@ impl AdaptiveController {
         Ok(ctrl)
     }
 
-    /// The options this controller was built with.
-    pub fn options(&self) -> &AdaptiveOptions {
-        &self.opts
-    }
-
     /// Current proposed step size (s).
     pub fn dt(&self) -> f64 {
         self.dt
     }
 
-    /// Backward-Euler solves performed so far (including failures).
-    pub fn be_solves(&self) -> u64 {
-        self.be_solves
-    }
-
     /// Whether a budget has tripped and the engine runs in economy mode.
     pub fn in_economy(&self) -> bool {
         self.economy
-    }
-
-    /// Consecutive rejections of the current step so far.
-    pub fn reject_streak(&self) -> u32 {
-        self.reject_streak
     }
 
     /// Cumulative outcome counters.
@@ -590,7 +575,7 @@ mod tests {
         assert!(c.at_dt_min());
         assert!(c.reject_streak_exhausted());
         c.on_hold();
-        assert_eq!(c.reject_streak(), 0);
+        assert_eq!(c.reject_streak, 0);
         assert_eq!(c.dt(), 2e-6);
     }
 
@@ -620,7 +605,7 @@ mod tests {
         assert!(c.enter_economy());
         assert!(!c.enter_economy());
         assert!(c.in_economy());
-        assert_eq!(c.be_solves(), 4);
+        assert_eq!(c.be_solves, 4);
     }
 
     #[test]

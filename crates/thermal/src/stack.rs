@@ -85,11 +85,6 @@ impl Stack {
         })
     }
 
-    /// Index of the first layer with the given name.
-    pub fn layer_index(&self, name: &str) -> Option<usize> {
-        self.layers.iter().position(|l| l.name() == name)
-    }
-
     /// Discretizes the stack onto `grid`, producing a solvable
     /// [`ThermalModel`].
     ///
@@ -177,7 +172,7 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(s.layer(0).unwrap().name(), "dram-si");
         assert_eq!(s.layer(4).unwrap().name(), "proc-metal");
-        assert_eq!(s.layer_index("d2d"), Some(2));
+        assert_eq!(s.layer(2).unwrap().name(), "d2d");
         assert!(s.layer(5).is_err());
     }
 

@@ -176,12 +176,6 @@ unit_newtype!(
 );
 
 impl Celsius {
-    /// Shifts by a temperature difference in K (== a difference in deg C).
-    #[must_use]
-    pub fn offset(self, delta_k: f64) -> Self {
-        Celsius::new(self.0 + delta_k)
-    }
-
     /// The larger of two temperatures.
     #[must_use]
     pub fn max(self, other: Self) -> Self {

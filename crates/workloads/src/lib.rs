@@ -1,4 +1,4 @@
-//! Benchmark profiles and synthetic trace generation.
+//! Benchmark profiles.
 //!
 //! The paper evaluates 17 parallel applications from SPLASH-2, PARSEC and
 //! the NAS Parallel Benchmarks (Sec. 6.3). The original binaries and
@@ -9,10 +9,8 @@
 //! the hottest and most frequency-sensitive; memory-intensive codes like
 //! FT and IS are the coolest and least frequency-sensitive).
 //!
-//! [`trace`] generates synthetic instruction/address streams matching a
-//! profile, which `xylem-archsim` runs through its cache hierarchy to
-//! *measure* miss rates — keeping the fast profile-based path and the
-//! simulated path mutually consistent.
+//! The profiles are hand-calibrated tuples (see [`Benchmark::profile`]);
+//! `xylem-archsim`'s interval model reads their miss rates directly.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -20,9 +18,7 @@
 pub mod benchmark;
 pub mod phases;
 pub mod profile;
-pub mod trace;
 
 pub use benchmark::Benchmark;
 pub use phases::{Phase, PhasedWorkload};
 pub use profile::WorkloadProfile;
-pub use trace::{TraceEvent, TraceGenerator};

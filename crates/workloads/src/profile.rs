@@ -35,7 +35,8 @@ pub struct WorkloadProfile {
     pub activity_peak: f64,
     /// Memory intensity for the power-fraction blend, 0..=1.
     pub memory_intensity: f64,
-    /// Working-set size per thread, bytes (drives the trace generator).
+    /// Working-set size per thread, bytes (a profile record; no model
+    /// reads it).
     pub working_set: u64,
 }
 

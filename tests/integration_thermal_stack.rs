@@ -78,14 +78,13 @@ fn d2d_layers_carry_the_largest_drops() {
     let t = model.steady_state(&p).unwrap();
     // Drop across the bottom D2D (between proc si and the die above).
     let below = t.mean_of_layer(built.proc_si_layer());
-    let d2d = built.d2d_layers()[7];
     let above = t.mean_of_layer(built.dram_metal_layers()[7]);
     let drop_d2d = below - above;
     // Drop across the processor's own silicon layer.
     let drop_si = t.mean_of_layer(built.proc_metal_layer()) - below;
     assert!(
         drop_d2d > 4.0 * drop_si,
-        "d2d drop {drop_d2d} vs si drop {drop_si} (layer {d2d})"
+        "d2d drop {drop_d2d} vs si drop {drop_si}"
     );
 }
 
