@@ -7,7 +7,8 @@
 #   ./ci.sh lint     # determinism audit only: xylem-lint text + --json modes
 #   ./ci.sh sanitize # sanitizer lane: miri (if installed) over the pure
 #                    # crates + thread-count determinism digests (DTM on
-#                    # the default GMG solver, scenario solve, sweep)
+#                    # the default GMG solver, scenario solve, sweep) +
+#                    # the archsim run memo under concurrent callers
 #   ./ci.sh bench    # regenerate BENCH_thermal.json: steady solve and GMG
 #                    # setup/apply per grid up to 128x128 (median, min and
 #                    # IQR of interleaved samples), matched-accuracy
@@ -65,6 +66,8 @@ if [[ "${1:-}" == "sanitize" ]]; then
   fi
   echo "==> thread-count determinism digests (DTM, scenario, sweep; 1 vs 4 threads)"
   cargo test -q --release -p xylem-core --test thread_determinism
+  echo "==> archsim run memo (hits and 4 concurrent callers bit-identical to uncached runs)"
+  cargo test -q --release -p xylem-archsim --lib memo
   echo "Sanitize lane green."
   exit 0
 fi

@@ -302,6 +302,14 @@ mod tests {
         write_envelope(path, payload, encode, true)
     }
 
+    /// `name` under the temp dir, suffixed with the process id so two
+    /// test processes never share a checkpoint file.
+    fn scratch_dir(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("{name}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
     fn sample_checkpoint() -> DtmCheckpoint {
         DtmCheckpoint {
             step: 17,
@@ -324,8 +332,7 @@ mod tests {
 
     #[test]
     fn round_trip_is_exact() {
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("round_trip.ckpt");
         let mut ckpt = sample_checkpoint();
         // Awkward floats that must survive bit-exactly.
@@ -340,8 +347,7 @@ mod tests {
 
     #[test]
     fn corruption_is_detected() {
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("corrupt.ckpt");
         save(&path, &sample_checkpoint()).unwrap();
         let mut text = std::fs::read_to_string(&path).unwrap();
@@ -355,8 +361,7 @@ mod tests {
 
     #[test]
     fn truncation_is_detected() {
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("truncated.ckpt");
         save(&path, &sample_checkpoint()).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
@@ -399,8 +404,7 @@ mod tests {
 
     #[test]
     fn non_finite_state_refuses_to_serialize() {
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("nan.ckpt");
         let mut ckpt = sample_checkpoint();
         ckpt.temps[1] = f64::NAN;
@@ -415,8 +419,7 @@ mod tests {
         // fsync calls are on the success path, so this test failing to
         // even *reach* them (e.g. an unwritable parent) is an Io error,
         // never a silent skip.
-        let dir = std::env::temp_dir().join("xylem-ckpt-durable-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-durable-test");
         let path = dir.join("durable.ckpt");
         save(&path, &sample_checkpoint()).unwrap();
         assert!(path.exists());
@@ -442,8 +445,7 @@ mod tests {
     #[test]
     fn every_save_times_its_encode_and_its_write() {
         use xylem_obs::summarize;
-        let dir = std::env::temp_dir().join("xylem-ckpt-durable-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-durable-test");
         let count = |h| summarize(h).count;
         let (encodes, writes) = (
             count(Hist::CheckpointEncodeMs),
@@ -458,8 +460,7 @@ mod tests {
 
     #[test]
     fn generic_payload_round_trips_and_rejects_tampering() {
-        let dir = std::env::temp_dir().join("xylem-ckpt-durable-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-durable-test");
         let path = dir.join("payload.ckpt");
         let payload = "{\"session\":\"s-0007\",\"step\":41,\"temps\":[45.5,46.25]}";
         save_payload(&path, payload).unwrap();
@@ -478,8 +479,7 @@ mod tests {
     #[test]
     fn recovery_rungs_round_trip_and_a_retired_rung_is_corrupt() {
         use xylem_thermal::{PreconditionerKind, RecoveryEvent};
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("rung.ckpt");
         let mut ckpt = sample_checkpoint();
         ckpt.recovery = RecoveryReport {
@@ -533,8 +533,7 @@ mod tests {
         // Captured from the `format!`-based float writer this file format
         // was first written with; any encoder change that moves a byte of
         // an existing checkpoint (and so its checksum) fails here.
-        let dir = std::env::temp_dir().join("xylem-ckpt-test");
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = scratch_dir("xylem-ckpt-test");
         let path = dir.join("pinned.ckpt");
         let mut ckpt = sample_checkpoint();
         ckpt.temps = AWKWARD_FLOATS.to_vec();

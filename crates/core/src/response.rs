@@ -374,7 +374,7 @@ mod tests {
 
     #[test]
     fn disk_cache_roundtrip() {
-        let dir = std::env::temp_dir().join("xylem-response-test");
+        let dir = std::env::temp_dir().join(format!("xylem-response-test-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let built = StackConfig::paper_default(XylemScheme::Base)
             .build()

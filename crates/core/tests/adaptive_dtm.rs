@@ -38,7 +38,7 @@ fn adaptive_policy() -> DtmPolicy {
 }
 
 fn tmp_ckpt(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join("xylem-adaptive-dtm-test");
+    let dir = std::env::temp_dir().join(format!("xylem-adaptive-dtm-test-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(name);
     let _ = std::fs::remove_file(&path);

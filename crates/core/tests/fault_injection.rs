@@ -14,6 +14,8 @@
 //! * a mid-run checkpoint resume reproduces the uninterrupted
 //!   `DtmResult` exactly (bit-identical).
 
+use std::path::PathBuf;
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -29,6 +31,14 @@ use xylem_workloads::Benchmark;
 
 const GRID: usize = 12;
 const STEPS: usize = 60;
+
+/// A checkpoint path private to this test process, so concurrent runs of
+/// the suite never share a file.
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("xylem-fi-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir creates");
+    dir.join(name)
+}
 
 fn system(scheme: XylemScheme) -> XylemSystem {
     let mut cfg = SystemConfig::fast(scheme);
@@ -190,7 +200,7 @@ fn checkpointing_does_not_perturb_the_run() {
     let (benchmark, f_ghz, mut run) = scenario(4);
     let plain = dtm_transient_configured(&s, benchmark, f_ghz, duration, &run, grid).unwrap();
 
-    let path = std::env::temp_dir().join("xylem-fi-perturb.ckpt");
+    let path = scratch("perturb.ckpt");
     let _ = std::fs::remove_file(&path);
     run.checkpoint = Some(CheckpointConfig {
         path: path.clone(),
@@ -215,7 +225,7 @@ fn resume_from_mid_run_checkpoint_is_bit_identical() {
 
     // `every_steps` deliberately does not divide STEPS: the last file is
     // written at step 56, so the resumed run recomputes a real suffix.
-    let path = std::env::temp_dir().join("xylem-fi-resume.ckpt");
+    let path = scratch("resume.ckpt");
     let _ = std::fs::remove_file(&path);
     run.checkpoint = Some(CheckpointConfig {
         path: path.clone(),
@@ -245,7 +255,7 @@ fn corrupt_checkpoint_is_rejected_not_trusted() {
     let duration = STEPS as f64 * policy().control_period_s;
     let grid = GridSpec::new(GRID, GRID);
     let (benchmark, f_ghz, mut run) = scenario(6);
-    let path = std::env::temp_dir().join("xylem-fi-corrupt.ckpt");
+    let path = scratch("corrupt.ckpt");
     let _ = std::fs::remove_file(&path);
     run.checkpoint = Some(CheckpointConfig {
         path: path.clone(),
@@ -274,7 +284,7 @@ fn checkpoint_from_a_different_run_is_rejected() {
     let duration = STEPS as f64 * policy().control_period_s;
     let grid = GridSpec::new(GRID, GRID);
     let (benchmark, f_ghz, mut run) = scenario(8);
-    let path = std::env::temp_dir().join("xylem-fi-mismatch.ckpt");
+    let path = scratch("mismatch.ckpt");
     let _ = std::fs::remove_file(&path);
     run.checkpoint = Some(CheckpointConfig {
         path: path.clone(),

@@ -137,61 +137,28 @@ impl Benchmark {
     /// The calibrated profile.
     pub fn profile(&self) -> WorkloadProfile {
         // (base_cpi, l1i, l1d, l2_mpki, sharing, read, row_hit, mlp,
-        //  activity, mem_intensity, ws MiB, Minstr)
+        //  activity, mem_intensity, Minstr)
+        #[rustfmt::skip]
         let t = match self {
-            Benchmark::Fft => (
-                0.70, 0.8, 14.0, 3.0, 0.10, 0.70, 0.62, 0.45, 0.80, 0.45, 32, 120,
-            ),
-            Benchmark::Cholesky => (
-                0.55, 1.2, 8.0, 0.8, 0.15, 0.72, 0.65, 0.60, 0.95, 0.15, 8, 160,
-            ),
-            Benchmark::Lu => (
-                0.60, 0.6, 10.0, 1.8, 0.12, 0.70, 0.68, 0.55, 0.85, 0.30, 16, 140,
-            ),
-            Benchmark::Radix => (
-                0.75, 0.4, 26.0, 7.0, 0.08, 0.60, 0.45, 0.40, 0.55, 0.75, 32, 100,
-            ),
-            Benchmark::Barnes => (
-                0.52, 1.0, 7.0, 0.6, 0.30, 0.75, 0.60, 0.60, 0.96, 0.12, 8, 170,
-            ),
-            Benchmark::Fmm => (
-                0.58, 1.1, 9.0, 1.2, 0.25, 0.74, 0.60, 0.55, 0.88, 0.25, 12, 150,
-            ),
-            Benchmark::Radiosity => (
-                0.54, 1.5, 7.5, 0.7, 0.30, 0.73, 0.58, 0.60, 0.95, 0.15, 8, 160,
-            ),
-            Benchmark::Raytrace => (
-                0.62, 2.0, 11.0, 2.2, 0.20, 0.78, 0.55, 0.50, 0.82, 0.35, 24, 130,
-            ),
-            Benchmark::Fluidanimate => (
-                0.60, 0.7, 9.5, 1.5, 0.18, 0.70, 0.62, 0.55, 0.87, 0.28, 16, 140,
-            ),
-            Benchmark::Blackscholes => (
-                0.55, 0.3, 6.0, 0.5, 0.02, 0.72, 0.70, 0.60, 0.90, 0.10, 4, 150,
-            ),
-            Benchmark::Bt => (
-                0.65, 0.5, 12.0, 2.5, 0.10, 0.68, 0.66, 0.50, 0.80, 0.40, 48, 130,
-            ),
-            Benchmark::Cg => (
-                0.80, 0.4, 30.0, 9.0, 0.06, 0.85, 0.40, 0.32, 0.45, 0.85, 64, 90,
-            ),
-            Benchmark::Ft => (
-                0.85, 0.4, 32.0, 10.0, 0.05, 0.65, 0.50, 0.30, 0.42, 0.85, 64, 90,
-            ),
-            Benchmark::Is => (
-                0.90, 0.3, 36.0, 12.0, 0.04, 0.60, 0.38, 0.28, 0.38, 0.90, 48, 80,
-            ),
-            Benchmark::LuNas => (
-                0.50, 0.4, 6.0, 0.4, 0.08, 0.72, 0.70, 0.65, 0.98, 0.08, 8, 180,
-            ),
-            Benchmark::Mg => (
-                0.70, 0.5, 20.0, 5.0, 0.08, 0.75, 0.55, 0.38, 0.65, 0.60, 56, 110,
-            ),
-            Benchmark::Sp => (
-                0.68, 0.5, 16.0, 3.5, 0.10, 0.72, 0.60, 0.45, 0.75, 0.50, 40, 120,
-            ),
+            Benchmark::Fft =>          (0.70,  0.8, 14.0,  3.0, 0.10, 0.70, 0.62, 0.45, 0.80, 0.45, 120),
+            Benchmark::Cholesky =>     (0.55,  1.2,  8.0,  0.8, 0.15, 0.72, 0.65, 0.60, 0.95, 0.15, 160),
+            Benchmark::Lu =>           (0.60,  0.6, 10.0,  1.8, 0.12, 0.70, 0.68, 0.55, 0.85, 0.30, 140),
+            Benchmark::Radix =>        (0.75,  0.4, 26.0,  7.0, 0.08, 0.60, 0.45, 0.40, 0.55, 0.75, 100),
+            Benchmark::Barnes =>       (0.52,  1.0,  7.0,  0.6, 0.30, 0.75, 0.60, 0.60, 0.96, 0.12, 170),
+            Benchmark::Fmm =>          (0.58,  1.1,  9.0,  1.2, 0.25, 0.74, 0.60, 0.55, 0.88, 0.25, 150),
+            Benchmark::Radiosity =>    (0.54,  1.5,  7.5,  0.7, 0.30, 0.73, 0.58, 0.60, 0.95, 0.15, 160),
+            Benchmark::Raytrace =>     (0.62,  2.0, 11.0,  2.2, 0.20, 0.78, 0.55, 0.50, 0.82, 0.35, 130),
+            Benchmark::Fluidanimate => (0.60,  0.7,  9.5,  1.5, 0.18, 0.70, 0.62, 0.55, 0.87, 0.28, 140),
+            Benchmark::Blackscholes => (0.55,  0.3,  6.0,  0.5, 0.02, 0.72, 0.70, 0.60, 0.90, 0.10, 150),
+            Benchmark::Bt =>           (0.65,  0.5, 12.0,  2.5, 0.10, 0.68, 0.66, 0.50, 0.80, 0.40, 130),
+            Benchmark::Cg =>           (0.80,  0.4, 30.0,  9.0, 0.06, 0.85, 0.40, 0.32, 0.45, 0.85,  90),
+            Benchmark::Ft =>           (0.85,  0.4, 32.0, 10.0, 0.05, 0.65, 0.50, 0.30, 0.42, 0.85,  90),
+            Benchmark::Is =>           (0.90,  0.3, 36.0, 12.0, 0.04, 0.60, 0.38, 0.28, 0.38, 0.90,  80),
+            Benchmark::LuNas =>        (0.50,  0.4,  6.0,  0.4, 0.08, 0.72, 0.70, 0.65, 0.98, 0.08, 180),
+            Benchmark::Mg =>           (0.70,  0.5, 20.0,  5.0, 0.08, 0.75, 0.55, 0.38, 0.65, 0.60, 110),
+            Benchmark::Sp =>           (0.68,  0.5, 16.0,  3.5, 0.10, 0.72, 0.60, 0.45, 0.75, 0.50, 120),
         };
-        let (base_cpi, l1i, l1d, l2, sharing, read, row_hit, mlp, act, mi, ws_mib, minstr) = t;
+        let (base_cpi, l1i, l1d, l2, sharing, read, row_hit, mlp, act, mi, minstr) = t;
         WorkloadProfile {
             instructions: (minstr as u64) * 1_000_000,
             base_cpi,
@@ -204,7 +171,6 @@ impl Benchmark {
             mlp_overlap: mlp,
             activity_peak: act,
             memory_intensity: mi,
-            working_set: (ws_mib as u64) << 20,
         }
     }
 }

@@ -35,9 +35,6 @@ pub struct WorkloadProfile {
     pub activity_peak: f64,
     /// Memory intensity for the power-fraction blend, 0..=1.
     pub memory_intensity: f64,
-    /// Working-set size per thread, bytes (a profile record; no model
-    /// reads it).
-    pub working_set: u64,
 }
 
 impl WorkloadProfile {
@@ -71,9 +68,6 @@ impl WorkloadProfile {
         frac("mlp_overlap", self.mlp_overlap)?;
         frac("activity_peak", self.activity_peak)?;
         frac("memory_intensity", self.memory_intensity)?;
-        if self.working_set == 0 {
-            return Err("working_set must be > 0".into());
-        }
         Ok(())
     }
 
@@ -101,7 +95,6 @@ mod tests {
             mlp_overlap: 0.4,
             activity_peak: 0.8,
             memory_intensity: 0.4,
-            working_set: 1 << 20,
         }
     }
 
